@@ -7,10 +7,12 @@ median across -count repetitions of every reported metric (ns/op plus
 custom ns/step, ns/sweep and rounds/op, and allocs/op), and fails when:
 
   * any benchmark whose name contains "Sparse", "DetectorReuse",
-    "CongestBatch", "KMachineConv" or "DetectorPool" regressed in an
-    ns-valued metric (or, for the CONGEST batch benchmarks, in simulated
-    rounds/op) by more than the threshold (default 20%) against the base
-    ref, or
+    "CongestBatch", "KMachineConv", "DetectorPool", "MixSweep",
+    "DetectStep" or "RegistryApplyDelta" regressed in an ns-valued metric
+    (or, for the CONGEST batch benchmarks, in simulated rounds/op) by more
+    than the threshold (default 20%) against the base ref —
+    BenchmarkRegistryApplyDelta is one PATCH (generation swap plus the
+    re-verification of 16 cached lines), so a slower PATCH fails here, or
   * BenchmarkDetectorReuse, BenchmarkDetectorReuseDense,
     BenchmarkBatchWalkEngineReuse or BenchmarkDetectorReuseTraceOff
     reports a non-zero allocs/op median in head — the allocation-free
@@ -68,7 +70,8 @@ ALLOC_UNIT = "allocs/op"
 BYTES_UNIT = "bytes/handle"
 WIRE_RATIO_UNIT = "wire-ratio"
 GATED_SUBSTRINGS = ("Sparse", "DetectorReuse", "CongestBatch", "KMachineConv",
-                    "DetectorPool", "MixSweep", "DetectStep")
+                    "DetectorPool", "MixSweep", "DetectStep",
+                    "RegistryApplyDelta")
 ZERO_ALLOC_BENCHMARKS = ("BenchmarkDetectorReuse", "BenchmarkDetectorReuseDense",
                          "BenchmarkBatchWalkEngineReuse",
                          "BenchmarkDetectorReuseTraceOff")

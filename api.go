@@ -416,7 +416,7 @@ type (
 	GraphRegistry = serve.Registry
 	// DeltaStats summarises one GraphRegistry.ApplyDelta swap: the new
 	// generation, edges applied, cache lines kept / re-verified / evicted,
-	// and the swap latency.
+	// and the swap and re-verification latencies.
 	DeltaStats = serve.DeltaStats
 	// ServeMetrics aggregates the serving counters (requests, errors, cache
 	// hits/misses, collapsed requests, pool waits, latency quantiles).

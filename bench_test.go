@@ -1162,3 +1162,57 @@ func BenchmarkIncrementalReverify(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkRegistryApplyDelta: one PATCH on the serving path — a single-edge
+// GraphRegistry.ApplyDelta over 16 warmed single-seed cache lines on a PPM
+// n=2048, r=4 graph with a pool of 2 handles. The edge joins the two planted
+// blocks the seeds live in, so every line intersects the delta and ns/op is
+// the generation swap plus 16 re-verifications (reverified/op reports how
+// many promoted). The edge flips on and off, and lines a delta evicted are
+// recomputed outside the timer, so every iteration starts from the same 16
+// cached lines. CI's bench gate fails a >20% regression against the base
+// ref.
+func BenchmarkRegistryApplyDelta(b *testing.B) {
+	g, opts := benchServeGraph(b)
+	reg := cdrw.NewGraphRegistry(2, nil)
+	if err := reg.Register("g", g, opts...); err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	seeds := make([]int, 16)
+	for i := range seeds {
+		seeds[i] = i*64 + 3 // eight seeds in each of blocks 0 and 1
+	}
+	warm := func() {
+		for _, s := range seeds {
+			if _, _, _, err := reg.DetectCommunity(ctx, "g", s); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	u, v := seeds[0], seeds[8]
+	for g.HasEdge(u, v) {
+		v++
+	}
+	edge := []cdrw.Edge{{U: u, V: v}}
+	reverified := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		warm()
+		b.StartTimer()
+		var st cdrw.DeltaStats
+		var err error
+		if i%2 == 0 {
+			st, err = reg.ApplyDelta(ctx, "g", edge, nil)
+		} else {
+			st, err = reg.ApplyDelta(ctx, "g", nil, edge)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		reverified += st.Reverified
+	}
+	b.ReportMetric(float64(reverified)/float64(b.N), "reverified/op")
+}

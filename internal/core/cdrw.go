@@ -377,12 +377,11 @@ func DetectCommunityContext(ctx context.Context, g *graph.Graph, s int, opts ...
 // the engine's hybrid sparse/dense sweep by default, or the dense reference
 // when WithDenseSweep was given. Both return bit-identical results, and
 // both run over the engine's retained sweeper buffers, so repeat serving is
-// allocation-free whichever path a step takes.
-func (c *config) sweep(_ *graph.Graph, eng *rw.WalkEngine) (rw.MixingSet, error) {
-	if c.denseSweep {
-		return eng.LargestMixingSetDense(c.minSize, c.mix)
-	}
-	return eng.LargestMixingSet(c.minSize, c.mix)
+// allocation-free whichever path a step takes. Only ladder sizes ≥ from are
+// evaluated (rw.WalkEngine.LargestMixingSetFrom); detection passes 0, the
+// full ladder.
+func (c *config) sweep(eng *rw.WalkEngine, from int) (rw.MixingSet, error) {
+	return eng.LargestMixingSetFrom(c.minSize, from, c.denseSweep, c.mix)
 }
 
 // detectCommunity is the engine-level detection loop shared by
@@ -391,7 +390,7 @@ func (c *config) sweep(_ *graph.Graph, eng *rw.WalkEngine) (rw.MixingSet, error)
 // per seed. ctx is polled once per walk step; the sweep additionally polls
 // cfg.mix.Interrupt between ladder sizes. The returned community slice is
 // the tracker's buffer: valid until the tracker's next reset.
-func detectCommunity(ctx context.Context, g *graph.Graph, eng *rw.WalkEngine, trk *communityTracker, s int, cfg *config) ([]int, CommunityStats, error) {
+func detectCommunity(ctx context.Context, eng *rw.WalkEngine, trk *communityTracker, s int, cfg *config) ([]int, CommunityStats, error) {
 	if err := eng.Reset(s); err != nil {
 		return nil, CommunityStats{Seed: s}, err
 	}
@@ -410,7 +409,7 @@ func detectCommunity(ctx context.Context, g *graph.Graph, eng *rw.WalkEngine, tr
 		if timed {
 			t1 = time.Now()
 		}
-		cur, err := cfg.sweep(g, eng)
+		cur, err := cfg.sweep(eng, 0)
 		if err != nil {
 			return nil, trk.stats, err
 		}

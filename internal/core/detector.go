@@ -232,13 +232,13 @@ func (d *Detector) DetectCommunity(ctx context.Context, s int) ([]int, Community
 	}
 	cfg := d.beginRun(ctx)
 	defer d.endRun()
-	return detectCommunity(ctx, d.g, d.walkEngine(), &d.trk, s, cfg)
+	return detectCommunity(ctx, d.walkEngine(), &d.trk, s, cfg)
 }
 
 // ReverifyCommunity cheaply re-checks a previously detected community
 // against this detector's (possibly mutated) graph: it replays the
 // deterministic walk from seed s for frozenAt steps without any per-step
-// sweeps, runs the candidate-size ladder once over the final distribution,
+// sweeps, sweeps the candidate-size ladder once over the final distribution,
 // and reports whether the largest mixing set (with s re-inserted, exactly as
 // detection would emit it) still equals community. frozenAt is the
 // CommunityStats.FrozenAt of the original detection.
@@ -246,7 +246,11 @@ func (d *Detector) DetectCommunity(ctx context.Context, s int) ([]int, Community
 // The per-step sweeps dominate detection cost, so skipping all but the last
 // makes re-verification an order of magnitude cheaper than re-detection —
 // this is what lets a serving cache keep single-seed lines across small
-// graph deltas instead of recomputing them cold.
+// graph deltas instead of recomputing them cold. The one remaining sweep is
+// cut to the ladder suffix that can decide the answer: a set equal to
+// community after seed re-insertion has |community| or |community|−1
+// vertices, so only ladder sizes ≥ |community|−1 are evaluated. Each of them
+// is bit-identical to the full sweep, so the result is too.
 //
 // A true result certifies that the mixing set at the freeze step is
 // unchanged; it does not replay the stop rule's full trajectory, so callers
@@ -278,7 +282,7 @@ func (d *Detector) ReverifyCommunity(ctx context.Context, s int, community []int
 		}
 		eng.Step()
 	}
-	cur, err := cfg.sweep(d.g, eng)
+	cur, err := cfg.sweep(eng, len(community)-1)
 	if err != nil {
 		return false, err
 	}
@@ -341,7 +345,7 @@ func (d *Detector) Detect(ctx context.Context) (*Result, error) {
 		defer d.endRun()
 		eng := d.walkEngine()
 		return d.detectPool(ctx, func(ctx context.Context, s int) ([]int, CommunityStats, bool, error) {
-			out, stats, err := detectCommunity(ctx, d.g, eng, &d.trk, s, cfg)
+			out, stats, err := detectCommunity(ctx, eng, &d.trk, s, cfg)
 			// out is the tracker's buffer, overwritten next iteration.
 			return out, stats, false, err
 		})

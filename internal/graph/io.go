@@ -42,7 +42,9 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 }
 
 // ReadEdgeList parses the format produced by WriteEdgeList. Duplicate edges
-// and self-loops in the input are rejected.
+// and self-loops in the input are rejected, and so is any vertex id outside
+// the header's [0, n) — checked on the parsed int, before the Builder
+// narrows it to int32, so an id like 2³²+1 cannot wrap onto a valid vertex.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
@@ -78,6 +80,9 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		v, err := strconv.Atoi(fields[1])
 		if err != nil {
 			return nil, fmt.Errorf("graph: line %d: %w", line, err)
+		}
+		if u < 0 || u >= n || v < 0 || v >= n {
+			return nil, fmt.Errorf("graph: line %d: %w: edge {%d,%d} with n=%d", line, ErrVertexOutOfRange, u, v, n)
 		}
 		b.AddEdge(u, v)
 	}

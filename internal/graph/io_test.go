@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -93,6 +94,19 @@ func TestReadEdgeListErrors(t *testing.T) {
 				t.Fatalf("input %q accepted", tc.input)
 			}
 		})
+	}
+}
+
+// TestReadEdgeListRejectsWrappingIDs: an id that only lands in [0, n) after
+// narrowing to int32 (2³²+1 wraps to 1) must be rejected with the line
+// number, not accepted as edge {1,2}.
+func TestReadEdgeListRejectsWrappingIDs(t *testing.T) {
+	_, err := ReadEdgeList(strings.NewReader("3 1\n4294967297 2\n"))
+	if !errors.Is(err, ErrVertexOutOfRange) {
+		t.Fatalf("got %v, want ErrVertexOutOfRange", err)
+	}
+	if !strings.Contains(err.Error(), "line 2") {
+		t.Fatalf("error %q does not name line 2", err)
 	}
 }
 

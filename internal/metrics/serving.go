@@ -38,13 +38,15 @@ type ServeMetrics struct {
 	phases [trace.NumPhases]Histogram
 
 	// Graph-mutation counters (Registry.ApplyDelta): deltas applied, the
-	// fate of the affected cache lines, and the generation-swap latency.
+	// fate of the affected cache lines, and the two latencies a PATCH is
+	// made of — the generation swap, then the re-verification of the
+	// intersecting cache lines.
 	deltasApplied   atomic.Int64
 	deltaKept       atomic.Int64
 	deltaReverified atomic.Int64
 	deltaEvicted    atomic.Int64
-	swapCount       atomic.Int64
-	swapSumNS       atomic.Int64
+	swap            Histogram
+	reverify        Histogram
 }
 
 // NewServeMetrics returns a fresh, zeroed counter set.
@@ -83,14 +85,11 @@ func (m *ServeMetrics) AddDeltaLines(kept, reverified, evicted int64) {
 
 // ObserveSwapLatency records how long one delta took from the mutation call
 // to the atomic generation swap becoming visible to readers.
-func (m *ServeMetrics) ObserveSwapLatency(d time.Duration) {
-	ns := d.Nanoseconds()
-	if ns < 0 {
-		ns = 0
-	}
-	m.swapCount.Add(1)
-	m.swapSumNS.Add(ns)
-}
+func (m *ServeMetrics) ObserveSwapLatency(d time.Duration) { m.swap.Observe(d) }
+
+// ObserveReverifyLatency records how long one delta spent after its swap
+// re-verifying and promoting the cache lines it intersected.
+func (m *ServeMetrics) ObserveReverifyLatency(d time.Duration) { m.reverify.Observe(d) }
 
 // ObserveLatency records one request's wall time in the histogram.
 func (m *ServeMetrics) ObserveLatency(d time.Duration) {
@@ -152,12 +151,10 @@ func (m *ServeMetrics) Snapshot() ServeSnapshot {
 		DeltaLinesKept:       m.deltaKept.Load(),
 		DeltaLinesReverified: m.deltaReverified.Load(),
 		DeltaLinesEvicted:    m.deltaEvicted.Load(),
-		SwapCount:            m.swapCount.Load(),
+		SwapCount:            m.swap.Count(),
+		SwapMean:             m.swap.Mean(),
 	}
 	s.LatencyMean = m.latency.Mean()
-	if s.SwapCount > 0 {
-		s.SwapMean = time.Duration(m.swapSumNS.Load() / s.SwapCount)
-	}
 	s.LatencyP50 = m.latency.Quantile(0.50)
 	s.LatencyP99 = m.latency.Quantile(0.99)
 	return s
@@ -203,22 +200,31 @@ func (m *ServeMetrics) WritePrometheus(w io.Writer) error {
 			"cdrw_delta_lines_reverified_total %d\n"+
 			"# HELP cdrw_delta_lines_evicted_total Cache lines evicted by deltas.\n"+
 			"# TYPE cdrw_delta_lines_evicted_total counter\n"+
-			"cdrw_delta_lines_evicted_total %d\n"+
-			"# HELP cdrw_delta_swap_seconds Generation-swap latency of applied deltas.\n"+
-			"# TYPE cdrw_delta_swap_seconds summary\n"+
-			"cdrw_delta_swap_seconds_sum %g\n"+
-			"cdrw_delta_swap_seconds_count %d\n",
+			"cdrw_delta_lines_evicted_total %d\n",
 		s.Requests, s.Errors, s.CacheHits, s.CacheMisses, s.Collapsed,
 		s.PoolWaits,
 		s.LatencyP50.Seconds(), s.LatencyP99.Seconds(),
 		(time.Duration(m.latency.SumNS()) * time.Nanosecond).Seconds(),
 		s.LatencyCount,
 		s.DeltasApplied, s.DeltaLinesKept, s.DeltaLinesReverified,
-		s.DeltaLinesEvicted,
-		(time.Duration(m.swapSumNS.Load()) * time.Nanosecond).Seconds(),
-		s.SwapCount)
+		s.DeltaLinesEvicted)
 	if err != nil {
 		return err
+	}
+	// A PATCH's latency is its swap plus its re-verification.
+	for _, h := range []struct {
+		name, help string
+		h          *Histogram
+	}{
+		{"cdrw_delta_swap_seconds", "Generation-swap latency of applied deltas.", &m.swap},
+		{"cdrw_delta_reverify_seconds", "Post-swap cache-line re-verification latency of applied deltas.", &m.reverify},
+	} {
+		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s summary\n", h.name, h.help, h.name); err != nil {
+			return err
+		}
+		if err := h.h.WriteSummary(w, h.name, ""); err != nil {
+			return err
+		}
 	}
 	// Per-phase histograms follow the counters. Every phase is rendered
 	// even at zero count so scrapers (and the CI smoke greps) see a

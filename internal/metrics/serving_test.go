@@ -61,6 +61,9 @@ func TestServeMetricsPrometheus(t *testing.T) {
 	m := NewServeMetrics()
 	m.IncRequest()
 	m.ObserveLatency(2 * time.Millisecond)
+	m.ObserveSwapLatency(time.Millisecond)
+	m.ObserveReverifyLatency(3 * time.Millisecond)
+	m.ObserveReverifyLatency(5 * time.Millisecond)
 	var b strings.Builder
 	if err := m.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -74,6 +77,12 @@ func TestServeMetricsPrometheus(t *testing.T) {
 		"cdrw_collapsed_total 0",
 		"cdrw_pool_waits_total 0",
 		"cdrw_latency_seconds_count 1",
+		"cdrw_delta_swap_seconds_sum 0.001\n",
+		"cdrw_delta_swap_seconds_count 1\n",
+		`cdrw_delta_swap_seconds{quantile="0.99"}`,
+		"cdrw_delta_reverify_seconds_sum 0.008\n",
+		"cdrw_delta_reverify_seconds_count 2\n",
+		`cdrw_delta_reverify_seconds{quantile="0.5"}`,
 	} {
 		if !strings.Contains(out, family) {
 			t.Fatalf("exposition missing %q:\n%s", family, out)

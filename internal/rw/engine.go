@@ -207,14 +207,7 @@ func (e *WalkEngine) Advance(k int) {
 // On the sparse path the returned Vertices alias sweeper storage and stay
 // valid only until this engine's next sweep; copy them to retain a set.
 func (e *WalkEngine) LargestMixingSet(minSize int, opt MixOptions) (MixingSet, error) {
-	if e.sweeper == nil {
-		e.sweeper = NewSweeper(e.g)
-	}
-	var support []int32
-	if e.sparse {
-		support = e.frontier
-	}
-	return e.sweeper.LargestMixingSet(e.p, support, minSize, opt)
+	return e.LargestMixingSetFrom(minSize, 0, false, opt)
 }
 
 // LargestMixingSetDense runs the sweep on the dense O(n)-per-size reference
@@ -224,10 +217,25 @@ func (e *WalkEngine) LargestMixingSet(minSize int, opt MixOptions) (MixingSet, e
 // buffers, so repeat serving stays allocation-free. The returned Vertices
 // alias sweeper storage, valid until this engine's next sweep.
 func (e *WalkEngine) LargestMixingSetDense(minSize int, opt MixOptions) (MixingSet, error) {
+	return e.LargestMixingSetFrom(minSize, 0, true, opt)
+}
+
+// LargestMixingSetFrom is LargestMixingSet (LargestMixingSetDense when dense
+// is set) restricted to the ladder sizes ≥ from: smaller sizes are skipped,
+// every evaluated size is bit-identical to the full sweep, and the result is
+// the full sweep's when its largest passing size is ≥ from and not Found
+// otherwise. A caller that only needs to know whether the full answer has a
+// given size — re-verifying a cached community — pays for the ladder suffix
+// alone. from ≤ minSize is the full sweep.
+func (e *WalkEngine) LargestMixingSetFrom(minSize, from int, dense bool, opt MixOptions) (MixingSet, error) {
 	if e.sweeper == nil {
 		e.sweeper = NewSweeper(e.g)
 	}
-	return e.sweeper.LargestMixingSet(e.p, nil, minSize, opt)
+	var support []int32
+	if e.sparse && !dense {
+		support = e.frontier
+	}
+	return e.sweeper.largestFrom(e.p, support, minSize, from, opt)
 }
 
 // BatchWalkEngine advances many walks over the same graph in lockstep, each

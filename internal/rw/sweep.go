@@ -173,13 +173,22 @@ func NewSweeperWithIndex(g *graph.Graph, idx *DegreeIndex) *Sweeper {
 // long-lived Detector's repeat runs allocation-free, in the dense regime as
 // well as the sparse one.
 func (s *Sweeper) LargestMixingSet(p Dist, support []int32, minSize int, opt MixOptions) (MixingSet, error) {
+	return s.largestFrom(p, support, minSize, 0, opt)
+}
+
+// largestFrom is LargestMixingSet over only the ladder suffix of sizes ≥
+// from (from ≤ minSize sweeps the whole ladder). Every evaluated size keeps
+// its full-sweep set, sum and threshold decision, so the result is the full
+// sweep's whenever its largest passing size is ≥ from, and not Found
+// otherwise; SizesChecked counts only the evaluated suffix.
+func (s *Sweeper) largestFrom(p Dist, support []int32, minSize, from int, opt MixOptions) (MixingSet, error) {
 	opt = opt.withDefaults()
 	n := s.g.NumVertices()
 	if len(p) != n {
 		return MixingSet{}, fmt.Errorf("rw: distribution has %d entries for %d vertices", len(p), n)
 	}
 	if support == nil {
-		return s.denseSweep(p, minSize, opt)
+		return s.denseSweep(p, minSize, from, opt)
 	}
 	for i, v := range support {
 		if int(v) >= n || v < 0 {
@@ -190,13 +199,16 @@ func (s *Sweeper) LargestMixingSet(p Dist, support []int32, minSize int, opt Mix
 		}
 	}
 	s.prepare(support)
-	return s.sweepLadder(p, support, minSize, opt)
+	return s.sweepLadder(p, support, minSize, from, opt)
 }
 
-// sweepLadder evaluates the whole candidate-size ladder over a prepared
-// support and materialises the largest passing size once at the end.
-func (s *Sweeper) sweepLadder(p Dist, support []int32, minSize int, opt MixOptions) (MixingSet, error) {
+// sweepLadder evaluates the candidate-size ladder from its first size ≥ from
+// over a prepared support and materialises the largest passing size once at
+// the end. Sizes are evaluated independently of each other, so skipping a
+// prefix changes no later size's outcome.
+func (s *Sweeper) sweepLadder(p Dist, support []int32, minSize, from int, opt MixOptions) (MixingSet, error) {
 	ladder := s.sizeLadder(minSize, opt.Growth)
+	ladder = ladder[sort.SearchInts(ladder, from):]
 	best := MixingSet{}
 	bestSize := 0
 	for _, size := range ladder {
@@ -243,7 +255,7 @@ func (s *Sweeper) sizeLadder(minSize int, growth float64) []int {
 // steady-state dense sweeps allocate nothing. Like the sparse path, the
 // returned Vertices alias sweeper storage and stay valid only until the
 // sweeper's next sweep.
-func (s *Sweeper) denseSweep(p Dist, minSize int, opt MixOptions) (MixingSet, error) {
+func (s *Sweeper) denseSweep(p Dist, minSize, from int, opt MixOptions) (MixingSet, error) {
 	n := s.g.NumVertices()
 	if cap(s.supBuf) < n {
 		s.supBuf = make([]int32, 0, n)
@@ -261,7 +273,7 @@ func (s *Sweeper) denseSweep(p Dist, minSize int, opt MixOptions) (MixingSet, er
 	}
 	s.supBuf = sup
 	s.prepareDense(sup)
-	return s.sweepLadder(p, sup, minSize, opt)
+	return s.sweepLadder(p, sup, minSize, from, opt)
 }
 
 // prepare derives the per-step support tables: the support's positions in

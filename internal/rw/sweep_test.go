@@ -250,6 +250,34 @@ func TestWalkEngineLargestMixingSetMatchesOpt(t *testing.T) {
 		if !reflect.DeepEqual(got.Vertices, want.Vertices) || got.Sum != want.Sum {
 			t.Fatalf("step %d (sparse=%v): engine sweep differs from reference", l, eng.Sparse())
 		}
+		// A ladder suffix from any bound returns the full answer when its
+		// size reaches the bound and nothing otherwise, on both paths,
+		// evaluating exactly the ladder entries ≥ the bound.
+		ladder := SizeLadderWithGrowth(4, g.NumVertices(), GrowthFactor)
+		for _, from := range []int{0, want.Size() - 1, want.Size(), want.Size() + 1, g.NumVertices()} {
+			for _, dense := range []bool{false, true} {
+				got, err := eng.LargestMixingSetFrom(4, from, dense, MixOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want.Size() >= from {
+					if !reflect.DeepEqual(got.Vertices, want.Vertices) || got.Sum != want.Sum {
+						t.Fatalf("step %d from %d dense=%v: suffix sweep differs from the full sweep", l, from, dense)
+					}
+				} else if got.Found() {
+					t.Fatalf("step %d from %d dense=%v: found a set of %d below the bound", l, from, dense, got.Size())
+				}
+				suffix := 0
+				for _, size := range ladder {
+					if size >= from {
+						suffix++
+					}
+				}
+				if got.SizesChecked != suffix {
+					t.Fatalf("step %d from %d: checked %d sizes, want %d", l, from, got.SizesChecked, suffix)
+				}
+			}
+		}
 		eng.Step()
 	}
 	if !sawSparse || !sawDense {

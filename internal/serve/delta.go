@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"cdrw/internal/graph"
@@ -35,6 +37,9 @@ type DeltaStats struct {
 	// pool recreation; re-verification happens after the swap and is not
 	// included).
 	SwapDuration time.Duration
+	// ReverifyDuration is the time from the swap until every intersecting
+	// line was re-verified and promoted or evicted — the rest of the call.
+	ReverifyDuration time.Duration
 }
 
 // ApplyDelta mutates the named graph by an edge delta, double-buffered: the
@@ -55,8 +60,11 @@ type DeltaStats struct {
 //     recomputation;
 //   - intersecting single-seed lines are re-verified after the swap by
 //     replaying the deterministic walk to its frozen length and re-running
-//     only that one sweep against the new CSR (Detector.ReverifyCommunity):
-//     promoted on match, evicted on mismatch.
+//     only the ladder suffix of that one sweep that can decide the answer
+//     against the new CSR (Detector.ReverifyCommunity): promoted on match,
+//     evicted on mismatch. Up to poolSize workers re-verify lines in
+//     parallel, each holding one pool handle per line, and the survivors are
+//     promoted in their old FIFO order under one lock once all are done.
 //
 // An empty delta is a complete no-op: no generation bump, no invalidation,
 // no pool churn. Delta validation errors (edge already present / absent,
@@ -167,39 +175,62 @@ func (r *Registry) ApplyDelta(ctx context.Context, name string, adds, dels []gra
 	// Re-verify intersecting single-seed lines on the new generation's own
 	// pools, after the swap: promotion is an optimisation, so it must never
 	// delay the moment readers see the new graph.
-	for pi, c := range pending {
-		if ctx.Err() != nil {
-			// The caller is gone; the swap already happened, so the lines we
-			// did not get to simply stay evicted.
-			stats.Evicted += len(pending) - pi
-			break
-		}
-		ok, err := r.reverifyLine(ctx, newPools[c.fp].pool, c)
-		if err != nil || !ok {
+	verified := r.reverifyLines(ctx, newPools, pending)
+	r.mu.Lock()
+	live := r.entries[name] == newEntry
+	for i, c := range pending {
+		if !live || !verified[i] {
+			// Failed, unverifiable, never reached before ctx ended, or the
+			// graph was replaced meanwhile: the line stays evicted.
 			stats.Evicted++
 			continue
 		}
 		nk := commKey(name, newGen, c.stats.Seed, c.fp)
-		r.mu.Lock()
-		if r.entries[name] == newEntry {
-			if _, dup := r.comm[nk]; !dup {
-				r.comm[nk] = c
-				r.rememberLocked(nk)
-			}
-			stats.Reverified++
-		} else {
-			stats.Evicted++
+		if _, dup := r.comm[nk]; !dup {
+			r.comm[nk] = c
+			r.rememberLocked(nk)
 		}
-		r.mu.Unlock()
+		stats.Reverified++
 	}
+	r.mu.Unlock()
+	stats.ReverifyDuration = time.Since(start) - stats.SwapDuration
 
 	stats.Generation = newGen
 	if r.m != nil {
 		r.m.IncDeltaApplied()
 		r.m.AddDeltaLines(int64(stats.Kept), int64(stats.Reverified), int64(stats.Evicted))
 		r.m.ObserveSwapLatency(stats.SwapDuration)
+		r.m.ObserveReverifyLatency(stats.ReverifyDuration)
 	}
 	return stats, nil
+}
+
+// reverifyLines re-verifies pending lines from up to poolSize workers and
+// reports, per line, whether it re-verified. Each worker holds a handle for
+// one line at a time, so a reader waiting on the pool waits at most one
+// re-verification. Workers stop taking lines once ctx is done; lines never
+// reached report false. All workers have exited when it returns.
+func (r *Registry) reverifyLines(ctx context.Context, pools map[string]poolSlot, pending []commCached) []bool {
+	verified := make([]bool, len(pending))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(r.poolSize, len(pending)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				i := int(next.Add(1)) - 1
+				if i >= len(pending) {
+					return
+				}
+				c := pending[i]
+				ok, err := r.reverifyLine(ctx, pools[c.fp].pool, c)
+				verified[i] = err == nil && ok
+			}
+		}()
+	}
+	wg.Wait()
+	return verified
 }
 
 // reverifyLine replays one cached community's frozen-step sweep on a handle

@@ -2,8 +2,12 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"reflect"
+	"slices"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"cdrw/internal/core"
@@ -277,5 +281,182 @@ findPair:
 	}
 	if g.NumEdges() != ppm.Graph.NumEdges() {
 		t.Fatalf("edge count drifted: %d vs %d", g.NumEdges(), ppm.Graph.NumEdges())
+	}
+}
+
+// deltaFixture registers a PPM graph on a registry with poolSize handles,
+// caches one full-run line and single-seed lines under two option
+// fingerprints (so re-verification spans two pools), and returns the delta
+// that lands inside two planted blocks: some lines are kept, some
+// re-verified, the full-run line evicted.
+func deltaFixture(t *testing.T, poolSize int) (*Registry, []graph.Edge, []graph.Edge) {
+	t.Helper()
+	ppm := testPPM(t, 512, 4)
+	reg := NewRegistry(poolSize, nil)
+	ctx := context.Background()
+	if err := reg.Register("g", ppm.Graph, core.WithDelta(ppm.Config.ExpectedConductance())); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := reg.Detect(ctx, "g"); err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < 512; s += 16 {
+		var opts []core.Option
+		if s%32 == 16 {
+			opts = append(opts, core.WithMixingThreshold(0.2))
+		}
+		if _, _, _, err := reg.DetectCommunity(ctx, "g", s, opts...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := ppm.Graph
+	var adds, dels []graph.Edge
+	for u := 1; len(adds) == 0; u++ {
+		if !g.HasEdge(0, u) {
+			adds = append(adds, graph.Edge{U: 0, V: u})
+		}
+	}
+	dels = append(dels, graph.Edge{U: 300, V: int(g.Neighbors(300)[0])})
+	return reg, adds, dels
+}
+
+// commKeys returns the registry's single-seed cache keys, sorted.
+func commKeys(reg *Registry) []string {
+	reg.mu.Lock()
+	defer reg.mu.Unlock()
+	keys := make([]string, 0, len(reg.comm))
+	for k := range reg.comm {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// lineOrder returns the registry's single-seed lines in FIFO order, each
+// as its generation-free identity (seed and fingerprint).
+func lineOrder(reg *Registry) []string {
+	reg.mu.Lock()
+	defer reg.mu.Unlock()
+	var ids []string
+	for _, k := range reg.order {
+		if c, ok := reg.comm[k]; ok {
+			ids = append(ids, fmt.Sprintf("%d|%s", c.stats.Seed, c.fp))
+		}
+	}
+	return ids
+}
+
+// isSubsequence reports whether sub appears in seq in the same relative
+// order.
+func isSubsequence(sub, seq []string) bool {
+	i := 0
+	for _, s := range seq {
+		if i < len(sub) && sub[i] == s {
+			i++
+		}
+	}
+	return i == len(sub)
+}
+
+// TestApplyDeltaParallelReverifyMatchesSequential: re-verifying from four
+// workers leaves exactly the cache a single worker leaves — the same kept /
+// reverified / evicted counts, the same lines and the same FIFO order —
+// because promotion happens in pending order after every worker is done.
+// That order is the sequential one: kept lines keep their places, and the
+// promoted lines follow in their pre-delta order.
+func TestApplyDeltaParallelReverifyMatchesSequential(t *testing.T) {
+	ctx := context.Background()
+	var stats []DeltaStats
+	var orders, keys [][]string
+	for _, size := range []int{1, 4} {
+		reg, adds, dels := deltaFixture(t, size)
+		before := lineOrder(reg)
+		st, err := reg.ApplyDelta(ctx, "g", adds, dels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Reverified == 0 || st.Kept == 0 || st.Evicted == 0 {
+			t.Fatalf("pool %d: delta did not exercise every outcome: %+v", size, st)
+		}
+		after := lineOrder(reg)
+		if len(after) != st.Kept+st.Reverified ||
+			!isSubsequence(after[:st.Kept], before) || !isSubsequence(after[st.Kept:], before) {
+			t.Fatalf("pool %d: FIFO order %v is not kept lines then promoted lines, each in pre-delta order %v",
+				size, after, before)
+		}
+		st.SwapDuration, st.ReverifyDuration = 0, 0
+		stats = append(stats, st)
+		reg.mu.Lock()
+		orders = append(orders, slices.Clone(reg.order))
+		reg.mu.Unlock()
+		keys = append(keys, commKeys(reg))
+	}
+	if stats[0] != stats[1] {
+		t.Fatalf("pool 1 stats %+v, pool 4 stats %+v", stats[0], stats[1])
+	}
+	if !slices.Equal(orders[0], orders[1]) {
+		t.Fatalf("cache order differs:\npool 1: %v\npool 4: %v", orders[0], orders[1])
+	}
+	if !slices.Equal(keys[0], keys[1]) {
+		t.Fatalf("cached lines differ:\npool 1: %v\npool 4: %v", keys[0], keys[1])
+	}
+}
+
+// countdownCtx cancels itself on its left-th Err poll, so a test can land a
+// cancellation at an arbitrary point of ApplyDelta's re-verification.
+type countdownCtx struct {
+	context.Context
+	left   atomic.Int64
+	cancel context.CancelFunc
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestApplyDeltaParallelReverifyCancel: a cancellation anywhere in the
+// re-verification leaves every cache line accounted for exactly once, only
+// counted promotions in the cache, and every pool handle back home — no
+// worker outlives ApplyDelta. The last run is never cancelled; at least one
+// earlier run must land its cancellation mid-way, between no promotion and
+// all of them.
+func TestApplyDeltaParallelReverifyCancel(t *testing.T) {
+	var promoted []int
+	for _, after := range []int64{1, 150, 400, 1e9} {
+		reg, adds, dels := deltaFixture(t, 4)
+		reg.mu.Lock()
+		lines := len(reg.order)
+		reg.mu.Unlock()
+		base, cancel := context.WithCancel(context.Background())
+		ctx := &countdownCtx{Context: base, cancel: cancel}
+		ctx.left.Store(after)
+		st, err := reg.ApplyDelta(ctx, "g", adds, dels)
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := st.Kept + st.Reverified + st.Evicted; got != lines {
+			t.Fatalf("cancel after %d polls: kept %d + reverified %d + evicted %d = %d, want %d lines",
+				after, st.Kept, st.Reverified, st.Evicted, got, lines)
+		}
+		if got := len(commKeys(reg)); got != st.Kept+st.Reverified {
+			t.Fatalf("cancel after %d polls: %d cached lines, want kept+reverified = %d", after, got, st.Kept+st.Reverified)
+		}
+		reg.mu.Lock()
+		for fp, slot := range reg.entries["g"].pools {
+			if slot.pool.Idle() != slot.pool.Size() {
+				t.Errorf("cancel after %d polls: pool %q has %d of %d handles idle after ApplyDelta returned",
+					after, fp, slot.pool.Idle(), slot.pool.Size())
+			}
+		}
+		reg.mu.Unlock()
+		promoted = append(promoted, st.Reverified)
+	}
+	full := promoted[len(promoted)-1]
+	if !slices.ContainsFunc(promoted[:len(promoted)-1], func(n int) bool { return n > 0 && n < full }) {
+		t.Fatalf("no cancellation landed mid-way: promoted %v (uncancelled last)", promoted)
 	}
 }

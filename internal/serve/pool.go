@@ -21,9 +21,12 @@
 // PATCH /graphs/{name}/edges): the next CSR generation is double-buffered
 // off the serving copy and swapped in atomically, with incremental cache
 // invalidation — single-seed lines disjoint from the delta survive,
-// intersecting ones are re-verified by replaying only their frozen sweep
-// (core.Detector.ReverifyCommunity), and only failures recompute. See
-// docs/ARCHITECTURE.md for the mutation lifecycle.
+// intersecting ones are re-verified by replaying their walk and only the
+// ladder suffix of their frozen sweep that can decide the answer
+// (core.Detector.ReverifyCommunity), and only failures recompute.
+// Re-verification runs on up to the pool size of workers, one pool handle
+// per line, and promotes the survivors in their original FIFO order once
+// all are done. See docs/ARCHITECTURE.md for the mutation lifecycle.
 package serve
 
 import (
