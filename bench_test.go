@@ -752,8 +752,8 @@ func benchCongestPPM(b *testing.B, n, blocks int) *cdrw.PPM {
 }
 
 // benchCongestWalks measures detecting one community per block — the same
-// seed set on both sides — either one seed at a time (the sequential
-// flooding loop) or as one DetectBatch sharing communication rounds. Rounds
+// seed set on both sides — either one seed at a time (each a batch of one)
+// or as one DetectBatch sharing communication rounds. Rounds
 // per op are reported alongside wall time; per-walk results are
 // bit-identical between the two (the conformance suite enforces it), so the
 // pair isolates exactly what batching buys.

@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"cdrw"
@@ -43,6 +44,9 @@ func run(args []string, out io.Writer) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if math.IsNaN(*delta) {
+		return fmt.Errorf("-delta must be a number, got %v", *delta)
 	}
 	eng, err := cdrw.ParseEngine(*engine)
 	if err != nil {

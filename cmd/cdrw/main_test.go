@@ -102,6 +102,9 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-badflag"}, &out); err == nil {
 		t.Fatal("bad flag accepted")
 	}
+	if err := run([]string{"-n", "128", "-r", "2", "-delta", "NaN"}, &out); err == nil {
+		t.Fatal("NaN delta accepted")
+	}
 }
 
 func TestRunExplicitDelta(t *testing.T) {

@@ -11,17 +11,18 @@ import (
 	"cdrw/internal/trace"
 )
 
-// This file implements batched multi-source CONGEST detection: several seed
-// walks of Algorithm 1 advance through the same communication rounds. The
-// protocol instances are independent — in a real execution each link simply
-// carries one O(log n)-bit word per walk per round — so the batch costs
-// max-over-walks rounds where the sequential loop costs their sum, while
-// every walk's own computation, stop rule, and round/message accounting stay
-// bit-identical to a solo DetectCommunity run (the conformance suite in
-// coreequiv_test.go pins this). The per-round flooding of all walks is fused
-// into one pass over the adjacency arrays, and observers receive per-link
-// aggregate word counts per shared round (LinkLoad), which is what the
-// k-machine converter's fast path consumes.
+// This file holds the one CONGEST detection loop: several seed walks of
+// Algorithm 1 advance through the same communication rounds, and a
+// single-seed DetectCommunity is a batch of one. The protocol instances are
+// independent — in a real execution each link simply carries one
+// O(log n)-bit word per walk per round — so a batch costs max-over-walks
+// rounds where one-at-a-time runs cost their sum, while every walk's own
+// computation, stop rule, and round/message accounting stay bit-identical
+// to running it alone (the conformance suite in coreequiv_test.go pins
+// this). The per-round flooding of all walks is fused into one pass over the
+// adjacency arrays, and observers receive per-link aggregate word counts per
+// shared round (LinkLoad), which is what the k-machine converter's fast path
+// consumes.
 
 // BatchDetection is one walk's outcome of a DetectBatch run.
 type BatchDetection struct {
@@ -29,7 +30,7 @@ type BatchDetection struct {
 	// ascending.
 	Community []int
 	// Stats carries the walk's own statistics — identical, field for field,
-	// to what a sequential DetectCommunity of the same seed would report,
+	// to what DetectCommunity of the same seed alone would report,
 	// including Metrics: the rounds and messages the walk's own protocol
 	// consumed. The shared rounds the batch actually took appear in the
 	// network's global metrics (their count is the max, not the sum, of the
@@ -80,7 +81,22 @@ type batchWalk struct {
 	out     []int
 }
 
-// finish freezes the walk's community exactly like detectCommunity's finish.
+// newBatchWalk returns a live walk whose distribution starts as the point
+// mass at s.
+func newBatchWalk(n, s int) *batchWalk {
+	w := &batchWalk{
+		seed:   s,
+		p:      make(rw.Dist, n),
+		next:   make(rw.Dist, n),
+		active: true,
+		stats:  CommunityStats{Seed: s},
+	}
+	w.p[s] = 1
+	return w
+}
+
+// finish freezes the walk's community: the seed joins the final set, and
+// the stats record whether the stop rule ended the walk.
 func (w *batchWalk) finish(set []int, stoppedByRule bool) {
 	w.active = false
 	w.stats.Stopped = stoppedByRule
@@ -101,14 +117,7 @@ func detectBatch(nw *Network, seeds []int, cfg Config) ([]BatchDetection, error)
 
 	walks := make([]*batchWalk, len(seeds))
 	for i, s := range seeds {
-		walks[i] = &batchWalk{
-			seed:   s,
-			p:      make(rw.Dist, n),
-			next:   make(rw.Dist, n),
-			active: true,
-			stats:  CommunityStats{Seed: s},
-		}
-		walks[i].p[s] = 1
+		walks[i] = newBatchWalk(n, s)
 	}
 	degInv := nw.degInvTable()
 
@@ -131,7 +140,6 @@ func detectBatch(nw *Network, seeds []int, cfg Config) ([]BatchDetection, error)
 	threshold, growth := cfg.mixResolved()
 	ladder := rw.SizeLadderWithGrowth(cfg.MinCommunitySize, n, growth)
 	x := make([]float64, n)
-	counts := make([]int32, n)
 	active := len(walks)
 	for l := 1; l <= cfg.MaxWalkLength && active > 0; l++ {
 		if err := nw.interrupted(); err != nil {
@@ -144,7 +152,7 @@ func detectBatch(nw *Network, seeds []int, cfg Config) ([]BatchDetection, error)
 			t0 = time.Now()
 		}
 		nw.beginPhase()
-		batchFlood(nw, walks, degInv, counts)
+		batchFlood(nw, walks, degInv)
 		nw.endPhase()
 
 		var t1 time.Time
@@ -207,23 +215,37 @@ func detectBatch(nw *Network, seeds []int, cfg Config) ([]BatchDetection, error)
 	return out, nil
 }
 
+// floodTile is the gather tile of the flood kernel: each worker streams
+// through tile-sized slices of the output arrays (next per tile stays
+// L2-resident) while reading the share table through the CSR neighbour
+// lists.
+const floodTile = 1 << 15
+
 // batchFlood performs one shared communication round of probability flooding
-// for every live walk. Accounting: each walk is charged its own round and
-// its own per-neighbour messages (exactly floodStep's), while the observers
-// see the aggregate — link (v,w) carries one word per live walk holding mass
-// at v, reported as a single LinkLoad with that multiplicity. The
-// computation is fused and blocked like floodStep: an interleave pass
-// freezes every live walk's outgoing shares into rows of shareAll (row v
-// holds the k walks' shares at v, side by side on one cache line), then a
+// (Algorithm 1 lines 9–11) for every live walk: every node holding a walk's
+// mass sends p(v)/d(v) to each neighbour, and every node sums what it
+// receives. It is the only flood kernel; floodStepReference is its oracle.
+//
+// Accounting: each walk is charged its own round and its own per-neighbour
+// messages, while the observers see the aggregate — link (v,w) carries one
+// word per live walk holding mass at v, reported as a single LinkLoad with
+// that multiplicity. The computation is fused and blocked: an interleave
+// pass freezes every live walk's outgoing shares into rows of shareAll (row
+// v holds the k walks' shares at v, side by side on one cache line), then a
 // tiled gather pulls each neighbour list once and accumulates every walk
 // from the row its neighbour ids address — k walks cost one random-access
 // stream of k-wide rows instead of k scattered (p, degInv) streams. Per walk
-// each share is the exact product the unbatched kernel computes and the
+// each share is the exact product the reference kernel computes and the
 // accumulation order over neighbours is unchanged, so the evolved
-// distributions stay bit-identical to sequential flooding.
-func batchFlood(nw *Network, walks []*batchWalk, degInv []float64, counts []int32) {
+// distributions are bit-identical to floodStepReference's. Isolated nodes
+// keep their mass.
+func batchFlood(nw *Network, walks []*batchWalk, degInv []float64) {
 	g := nw.Graph()
 	observing := nw.observing()
+	var counts []int32
+	if observing {
+		counts = nw.floodCounts()
+	}
 	for i, w := range walks {
 		if !w.active {
 			continue
@@ -311,33 +333,57 @@ func batchFlood(nw *Network, walks []*batchWalk, degInv []float64, counts []int3
 	}
 }
 
-// detectBatchedPool is Detect's pool loop with batching (cfg.Batch > 1):
-// each super-step draws up to Batch seeds from the pool of unassigned
-// vertices — the first uniformly, the rest spread outside the 2-hop balls of
-// the seeds already drawn, the same spreading DetectParallel uses — runs
-// them as one DetectBatch, and applies the detections in draw order (a
-// vertex claimed by an earlier detection of the same super-step is simply
-// not re-assigned, exactly as in the sequential loop). Every detection's
-// community and per-walk stats are bit-identical to a sequential
-// DetectCommunity of its seed; the batch only changes the pool schedule —
-// Batch communities leave the pool per super-step instead of one — so the
-// total round count drops by up to the batch factor, while seeds that land
-// in one community cost some duplicated messages. The run is fully
-// deterministic in cfg.Seed.
+// floodStepReference is the unblocked single-walk flood kernel, kept as the
+// oracle of batchFlood: the flood conformance test asserts the two evolve
+// bit-identical distributions, and the kernel-pair benchmark measures
+// batchFlood's speedup against this one.
+func (nw *Network) floodStepReference(p, next rw.Dist, degInv []float64) {
+	g := nw.Graph()
+	round := nw.beginRound()
+	for v, mass := range p {
+		if mass != 0 && g.Degree(v) > 0 {
+			nw.sendAllNeighbors(v)
+		}
+	}
+	nw.parallelFor(len(next), func(u int) {
+		sum := 0.0
+		for _, w := range g.Neighbors(u) {
+			sum += p[w] * degInv[w]
+		}
+		if g.Degree(u) == 0 {
+			sum = p[u] // isolated nodes keep their mass
+		}
+		next[u] = sum
+	})
+	nw.endRound(round)
+}
+
+// detectPool is Detect's pool loop: each super-step draws up to Batch seeds
+// from the pool of unassigned vertices — the first uniformly, the rest
+// spread outside the 2-hop balls of the seeds already drawn, the same
+// spreading DetectParallel uses — runs them as one batch, and applies the
+// detections in draw order (a vertex claimed by an earlier detection of the
+// same super-step is simply not re-assigned). With Batch ≤ 1 every
+// super-step draws exactly one uniform seed, which is internal/core.Detect's
+// sampling. Every detection's community and per-walk stats are
+// bit-identical to a lone DetectCommunity of its seed; the batch only
+// changes the pool schedule — Batch communities leave the pool per
+// super-step instead of one — so the total round count drops by up to the
+// batch factor, while seeds that land in one community cost some duplicated
+// messages. The run is fully deterministic in cfg.Seed.
 //
 // The pool tail — once the pool is smaller than Batch·MinCommunitySize —
 // sizes its batches from the pool's component structure instead of the
 // fixed guard: a small pool cannot plausibly hold a batch of distinct
 // communities *within one connected piece*, and forcing every straggler
-// vertex to walk would run detections the sequential loop absorbs into one
+// vertex to walk would run detections a one-seed schedule absorbs into one
 // another (a straggler's walk can be pathologically long — it is exactly
 // the seed whose community never settles). But when the residual pool
-// splits into several components of its induced subgraph, the sequential
-// loop must seed each piece separately anyway, so the tail draws up to
+// splits into several components of its induced subgraph, a one-seed
+// schedule must seed each piece separately anyway, so the tail draws up to
 // min(Batch, components) seeds, one per distinct component, and shares
-// their rounds. A single-component tail degenerates to the sequential
-// one-seed-at-a-time loop, exactly as before.
-func detectBatchedPool(nw *Network, cfg Config) (*Result, error) {
+// their rounds. A single-component tail draws one seed per super-step.
+func detectPool(nw *Network, cfg Config) (*Result, error) {
 	g := nw.Graph()
 	n := g.NumVertices()
 	r := rng.New(cfg.Seed)
@@ -416,7 +462,7 @@ func detectBatchedPool(nw *Network, cfg Config) (*Result, error) {
 		}
 		dets, err := detectBatch(nw, seeds, cfg)
 		if err != nil {
-			return nil, fmt.Errorf("congest: batch of seed %d: %w", seeds[0], err)
+			return nil, fmt.Errorf("congest: batch of seeds %v: %w", seeds, err)
 		}
 		for i, det := range dets {
 			s := seeds[i]

@@ -172,11 +172,11 @@ func TestSelectIndexedMatchesScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		covered := tree.CoveredVertices()
-		ws := newWalkState(scanNW, 0)
+		ws := newBatchWalk(n, 0)
 		x := make([]float64, n)
 		var off rw.OffSupportStream
 		for step := 0; step < 6; step++ {
-			ws.flood(scanNW)
+			floodWalks(scanNW, ws)
 			var support []int32
 			for v := 0; v < n; v++ {
 				if ws.p[v] != 0 {

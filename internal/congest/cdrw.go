@@ -5,11 +5,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
-	"cdrw/internal/rng"
 	"cdrw/internal/rw"
-	"cdrw/internal/trace"
 )
 
 // Config parameterises a distributed CDRW run. The zero value is not valid;
@@ -43,13 +40,13 @@ type Config struct {
 	// values ≤ 1 select the paper's constant.
 	GrowthFactor float64
 	// Batch is the number of seed walks Detect advances in shared
-	// communication rounds per pool super-step (values ≤ 1 keep the
-	// sequential one-seed-at-a-time loop). Batching never changes the
-	// detected communities or any per-walk statistic — each walk's protocol,
-	// including its own round/message cost, is bit-identical to a sequential
-	// run — it only lets independent walks share rounds (and speculate ahead
-	// of the pool), so Result.Metrics.Rounds drops while total messages may
-	// grow by the speculative walks that end up unused.
+	// communication rounds per pool super-step (values ≤ 1 draw one seed per
+	// super-step, matching internal/core's seed sampling). Batching never
+	// changes the detected communities or any per-walk statistic — each
+	// walk's protocol, including its own round/message cost, is bit-identical
+	// to running it alone — it only lets independent walks share rounds (and
+	// speculate ahead of the pool), so Result.Metrics.Rounds drops while
+	// total messages may grow by the speculative walks that end up unused.
 	Batch int
 }
 
@@ -87,6 +84,10 @@ func DefaultConfig(n int) Config {
 }
 
 func (c Config) validate() error {
+	if math.IsNaN(c.Delta) || math.IsNaN(c.MixingThreshold) || math.IsNaN(c.GrowthFactor) {
+		return fmt.Errorf("congest: config must not be NaN (delta=%v mixingThreshold=%v growthFactor=%v)",
+			c.Delta, c.MixingThreshold, c.GrowthFactor)
+	}
 	if c.Delta < 0 {
 		return fmt.Errorf("congest: negative delta %v", c.Delta)
 	}
@@ -132,6 +133,9 @@ func DetectCommunity(nw *Network, s int, cfg Config) ([]int, CommunityStats, err
 // run within O(1) rounds (mid-ladder, mid-binary-search) and returns
 // ctx.Err(). Rounds simulated before the cancellation remain accounted in
 // the network's metrics.
+//
+// A single seed runs as a batch of one walk through DetectBatch's loop; with
+// one lane, the walk's own rounds are the network's rounds.
 func DetectCommunityContext(ctx context.Context, nw *Network, s int, cfg Config) ([]int, CommunityStats, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, CommunityStats{}, err
@@ -141,192 +145,11 @@ func DetectCommunityContext(ctx context.Context, nw *Network, s int, cfg Config)
 	}
 	nw.setContext(ctx)
 	defer nw.setContext(nil)
-	return detectCommunity(nw, s, cfg)
-}
-
-// detectCommunity is the engine loop behind DetectCommunityContext; the
-// caller has validated inputs and installed the run context. Detect's pool
-// loop calls it directly so one setContext spans the whole pool run.
-func detectCommunity(nw *Network, s int, cfg Config) ([]int, CommunityStats, error) {
-	g := nw.Graph()
-	n := g.NumVertices()
-	startMetrics := nw.Metrics()
-	stats := CommunityStats{Seed: s}
-
-	tree, err := nw.BuildTree(s, cfg.TreeDepthLimit)
+	dets, err := detectBatch(nw, []int{s}, cfg)
 	if err != nil {
-		return nil, stats, err
+		return nil, CommunityStats{Seed: s}, err
 	}
-	stats.TreeDepth = tree.MaxDepth()
-	covered := tree.CoveredVertices()
-
-	ws := newWalkState(nw, s)
-	x := make([]float64, n)
-
-	var prevSet []int
-	stalled := 0
-	finish := func(set []int, stoppedByRule bool) ([]int, CommunityStats, error) {
-		stats.Stopped = stoppedByRule
-		out := withSeed(set, s)
-		stats.FinalSetSize = len(out)
-		stats.Metrics = nw.Metrics()
-		stats.Metrics.Rounds -= startMetrics.Rounds
-		stats.Metrics.Messages -= startMetrics.Messages
-		return out, stats, nil
-	}
-
-	threshold, growth := cfg.mixResolved()
-	ladder := rw.SizeLadderWithGrowth(cfg.MinCommunitySize, n, growth)
-	for l := 1; l <= cfg.MaxWalkLength; l++ {
-		stats.WalkLength = l
-		var t0 time.Time
-		if nw.tr != nil {
-			t0 = time.Now()
-		}
-		ws.flood(nw)
-
-		var t1 time.Time
-		if nw.tr != nil {
-			t1 = time.Now()
-			nw.tr.AddPhase(trace.PhaseFlood, t1.Sub(t0))
-		}
-		curSet, err := nw.largestMixingSet(tree, covered, ws.p, x, ladder, threshold)
-		if nw.tr != nil {
-			nw.tr.AddPhase(trace.PhaseSweep, time.Since(t1))
-		}
-		if err != nil {
-			return nil, stats, fmt.Errorf("congest: walk length %d: %w", l, err)
-		}
-		stats.SizesChecked += len(ladder)
-		if prevSet != nil && curSet != nil {
-			grown := float64(len(curSet)) >= (1+cfg.Delta)*float64(len(prevSet))
-			if !grown {
-				stalled++
-				if stalled >= cfg.Patience {
-					return finish(prevSet, true)
-				}
-				continue
-			}
-			stalled = 0
-		}
-		if curSet != nil {
-			prevSet = curSet
-			stats.FrozenAt = l
-		}
-	}
-	if prevSet != nil {
-		return finish(prevSet, false)
-	}
-	return finish([]int{s}, false)
-}
-
-// walkState is the node-local flooding state (distribution, spare buffer,
-// inverse-degree table) shared by DetectCommunity and EstimateConductance,
-// so the two entry points cannot drift in how they initialise and evolve
-// the walk. degInv aliases the network's shared read-only table.
-type walkState struct {
-	p, next rw.Dist
-	degInv  []float64
-}
-
-func newWalkState(nw *Network, source int) *walkState {
-	n := nw.Graph().NumVertices()
-	ws := &walkState{
-		p:      make(rw.Dist, n),
-		next:   make(rw.Dist, n),
-		degInv: nw.degInvTable(),
-	}
-	ws.p[source] = 1
-	return ws
-}
-
-// flood advances the walk by one communication round.
-func (ws *walkState) flood(nw *Network) {
-	nw.floodStep(ws.p, ws.next, ws.degInv)
-	ws.p, ws.next = ws.next, ws.p
-}
-
-// floodTile is the gather tile of the blocked flood kernels: each worker
-// streams through tile-sized slices of the output array (8·tile = 256 KiB of
-// next per tile, L2-resident) while reading the share table through the CSR
-// neighbour lists.
-const floodTile = 1 << 15
-
-// floodStep performs one communication round of probability flooding
-// (Algorithm 1 lines 9–11): every node holding probability mass sends
-// p(v)/d(v) to each neighbour; every node sums what it receives.
-//
-// The kernel is the blocked form of floodStepReference: one sequential pass
-// fuses the send accounting with freezing every node's outgoing share
-// share[v] = p[v]·degInv[v], then a tiled gather accumulates next[u] =
-// Σ share[w] over u's neighbours — a branch-free multiply-free inner loop
-// with a single random-access stream (share) where the reference chased two
-// (p and degInv). Each share is the exact product the reference computes
-// inside its inner loop and the accumulation order over neighbours is
-// unchanged, so the evolved distribution is bit-identical (the equivalence
-// suite enforces it). Isolated nodes keep their mass, as before.
-func (nw *Network) floodStep(p, next rw.Dist, degInv []float64) {
-	g := nw.Graph()
-	round := nw.beginRound()
-	if nw.transport != nil {
-		// Pluggable round transport: account the round's sends exactly as
-		// below (the simulated cost is the same wherever the floats move),
-		// then delegate the numeric evolution.
-		for v, mass := range p {
-			if mass != 0 && g.Degree(v) > 0 {
-				nw.sendAllNeighbors(v)
-			}
-		}
-		nw.frameBuf = append(nw.frameBuf[:0], FloodFrame{P: p, Next: next})
-		nw.floodRemote(nw.frameBuf)
-		nw.endRound(round)
-		return
-	}
-	share := nw.floodShare(len(p))
-	for v, mass := range p {
-		share[v] = mass * degInv[v]
-		if mass != 0 && g.Degree(v) > 0 {
-			nw.sendAllNeighbors(v)
-		}
-	}
-	nw.parallelRanges(len(next), floodTile, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			sum := 0.0
-			for _, w := range g.Neighbors(u) {
-				sum += share[w]
-			}
-			if g.Degree(u) == 0 {
-				sum = p[u] // isolated nodes keep their mass
-			}
-			next[u] = sum
-		}
-	})
-	nw.endRound(round)
-}
-
-// floodStepReference is the unblocked flood kernel floodStep replaced, kept
-// as the equivalence baseline: the flood conformance test asserts the two
-// kernels evolve bit-identical distributions, and the kernel-pair benchmark
-// measures the blocked kernel's speedup against this one.
-func (nw *Network) floodStepReference(p, next rw.Dist, degInv []float64) {
-	g := nw.Graph()
-	round := nw.beginRound()
-	for v, mass := range p {
-		if mass != 0 && g.Degree(v) > 0 {
-			nw.sendAllNeighbors(v)
-		}
-	}
-	nw.parallelFor(len(next), func(u int) {
-		sum := 0.0
-		for _, w := range g.Neighbors(u) {
-			sum += p[w] * degInv[w]
-		}
-		if g.Degree(u) == 0 {
-			sum = p[u] // isolated nodes keep their mass
-		}
-		next[u] = sum
-	})
-	nw.endRound(round)
+	return dets[0].Community, dets[0].Stats, nil
 }
 
 // largestMixingSet runs the candidate-size sweep of Algorithm 1 lines 12–17
@@ -460,9 +283,8 @@ func (r *Result) Partition() [][]int {
 // it runs one seed at a time with seed sampling matching internal/core.
 // Detect exactly, so on a connected graph the two engines emit identical
 // communities; with cfg.Batch > 1 each super-step advances a batch of seed
-// walks in shared communication rounds (see DetectBatch and
-// detectBatchedPool), every individual detection still bit-identical to a
-// sequential run of its seed.
+// walks in shared communication rounds (see DetectBatch and detectPool),
+// every individual detection still bit-identical to a lone run of its seed.
 func Detect(nw *Network, cfg Config) (*Result, error) {
 	return DetectContext(context.Background(), nw, cfg)
 }
@@ -470,60 +292,11 @@ func Detect(nw *Network, cfg Config) (*Result, error) {
 // DetectContext is Detect with cancellation: ctx is polled by the round
 // scheduler and between pool iterations, so a cancelled caller gets
 // ctx.Err() back without waiting for the pool to drain.
-//
-// With cfg.Batch > 1 the pool loop advances batches of seed walks in shared
-// communication rounds (see detectBatchedPool); the emitted Detections are
-// bit-identical to the sequential loop's, with Result.Metrics.Rounds
-// reduced to the shared-round cost.
 func DetectContext(ctx context.Context, nw *Network, cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	nw.setContext(ctx)
 	defer nw.setContext(nil)
-	if cfg.Batch > 1 {
-		return detectBatchedPool(nw, cfg)
-	}
-	n := nw.Graph().NumVertices()
-	r := rng.New(cfg.Seed)
-	assigned := make([]bool, n)
-	pool := make([]int, n)
-	for v := range pool {
-		pool[v] = v
-	}
-	res := &Result{}
-	before := nw.Metrics()
-	for len(pool) > 0 {
-		if err := nw.interrupted(); err != nil {
-			return nil, fmt.Errorf("congest: %w", err)
-		}
-		s := pool[r.Intn(len(pool))]
-		community, stats, err := detectCommunity(nw, s, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("congest: community of seed %d: %w", s, err)
-		}
-		kept := make([]int, 0, len(community))
-		for _, v := range community {
-			if !assigned[v] {
-				kept = append(kept, v)
-				assigned[v] = true
-			}
-		}
-		if !assigned[s] {
-			kept = append(kept, s)
-			assigned[s] = true
-		}
-		res.Detections = append(res.Detections, Detection{Raw: community, Assigned: kept, Stats: stats})
-		nextPool := pool[:0]
-		for _, v := range pool {
-			if !assigned[v] {
-				nextPool = append(nextPool, v)
-			}
-		}
-		pool = nextPool
-	}
-	res.Metrics = nw.Metrics()
-	res.Metrics.Rounds -= before.Rounds
-	res.Metrics.Messages -= before.Messages
-	return res, nil
+	return detectPool(nw, cfg)
 }

@@ -46,7 +46,13 @@ func EstimateConductanceContext(ctx context.Context, nw *Network, source, maxSte
 	if g.NumEdges() == 0 || n < 2 {
 		return 0, fmt.Errorf("congest: conductance undefined without edges")
 	}
+	// The estimate is a one-walk batch: one phase builds the tree, then each
+	// flood and each convergecast+broadcast pair is a phase of its own.
+	nw.beginBatch(1)
+	defer nw.endBatch()
+	nw.beginPhase()
 	tree, err := nw.BuildTree(source, depthLimit)
+	nw.endPhase()
 	if err != nil {
 		return 0, err
 	}
@@ -55,20 +61,25 @@ func EstimateConductanceContext(ctx context.Context, nw *Network, source, maxSte
 	for i, v := range covered32 {
 		covered[i] = int(v)
 	}
-	ws := newWalkState(nw, source)
+	walks := []*batchWalk{newBatchWalk(n, source)}
+	degInv := nw.degInvTable()
 
 	best := math.Inf(1)
 	for t := 1; t <= maxSteps; t++ {
 		if err := nw.interrupted(); err != nil {
 			return 0, err
 		}
-		ws.flood(nw)
+		nw.beginPhase()
+		batchFlood(nw, walks, degInv)
+		nw.endPhase()
 		if t < 2 {
 			continue
 		}
+		nw.beginPhase()
 		nw.Convergecast(tree)
 		nw.Broadcast(tree)
-		if _, phi, err := rw.SweepCutWithin(g, ws.p, covered); err == nil && phi < best {
+		nw.endPhase()
+		if _, phi, err := rw.SweepCutWithin(g, walks[0].p, covered); err == nil && phi < best {
 			best = phi
 		}
 	}

@@ -71,3 +71,37 @@ func TestEstimateConductanceRejectsBadInput(t *testing.T) {
 		t.Fatal("zero step budget accepted")
 	}
 }
+
+// TestEstimateConductanceExactCost pins the estimator's value and its exact
+// CONGEST cost — the tree, one round per flood, and one convergecast plus
+// broadcast per sweep — as seen by both the network totals and a load
+// observer, unbounded with two workers and depth-limited with one.
+func TestEstimateConductanceExactCost(t *testing.T) {
+	g := gnpGraph(t, 300, 3)
+	for _, tc := range []struct {
+		depth, workers int
+		phi            float64
+		want           Metrics
+	}{
+		{depth: -1, workers: 2, phi: 0.49232585596221962, want: Metrics{Rounds: 61, Messages: 42786}},
+		{depth: 2, workers: 1, phi: 0.52326602282704127, want: Metrics{Rounds: 43, Messages: 35096}},
+	} {
+		nw := NewNetwork(g, tc.workers)
+		var tally loadTally
+		nw.SetLoadObserver(tally.observe)
+		phi, err := EstimateConductance(nw, 7, 9, tc.depth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if phi != tc.phi {
+			t.Fatalf("depth %d: φ = %.17g, want %.17g", tc.depth, phi, tc.phi)
+		}
+		if nw.Metrics() != tc.want {
+			t.Fatalf("depth %d: cost %+v, want %+v", tc.depth, nw.Metrics(), tc.want)
+		}
+		if tally.rounds != tc.want.Rounds || tally.words != tc.want.Messages {
+			t.Fatalf("depth %d: observer saw %d rounds / %d words, want %d / %d",
+				tc.depth, tally.rounds, tally.words, tc.want.Rounds, tc.want.Messages)
+		}
+	}
+}

@@ -116,26 +116,17 @@ func TestFloodStepMatchesRWStep(t *testing.T) {
 	g := gnpGraph(t, 128, 3)
 	nw := NewNetwork(g, 1)
 	n := g.NumVertices()
-	p := make(rw.Dist, n)
-	p[5] = 1
-	next := make(rw.Dist, n)
-	degInv := make([]float64, n)
-	for v := 0; v < n; v++ {
-		if d := g.Degree(v); d > 0 {
-			degInv[v] = 1 / float64(d)
-		}
-	}
+	walk := newBatchWalk(n, 5)
 	want, err := rw.NewPointDist(n, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	scratch := make(rw.Dist, n)
 	for step := 0; step < 10; step++ {
-		nw.floodStep(p, next, degInv)
-		p, next = next, p
+		floodWalks(nw, walk)
 		want, scratch = rw.Step(g, want, scratch), want
-		if p.L1(want) > 1e-12 {
-			t.Fatalf("flooding diverges from reference at step %d: L1=%v", step+1, p.L1(want))
+		if walk.p.L1(want) > 1e-12 {
+			t.Fatalf("flooding diverges from reference at step %d: L1=%v", step+1, walk.p.L1(want))
 		}
 	}
 }
@@ -143,10 +134,7 @@ func TestFloodStepMatchesRWStep(t *testing.T) {
 func TestFloodStepMessageAccounting(t *testing.T) {
 	g := pathGraph(t, 5)
 	nw := NewNetwork(g, 1)
-	p := rw.Dist{0, 0, 1, 0, 0}
-	next := make(rw.Dist, 5)
-	degInv := []float64{1, 0.5, 0.5, 0.5, 1}
-	nw.floodStep(p, next, degInv)
+	floodWalks(nw, newBatchWalk(5, 2))
 	m := nw.Metrics()
 	if m.Rounds != 1 {
 		t.Fatalf("flood step took %d rounds, want 1", m.Rounds)
@@ -276,15 +264,24 @@ func TestRoundComplexityPolylog(t *testing.T) {
 func TestDetectCommunityConfigValidation(t *testing.T) {
 	g := pathGraph(t, 4)
 	nw := NewNetwork(g, 1)
-	bad := DefaultConfig(4)
-	bad.Delta = -1
-	if _, _, err := DetectCommunity(nw, 0, bad); err == nil {
-		t.Fatal("negative delta accepted")
-	}
-	bad = DefaultConfig(4)
-	bad.Patience = 0
-	if _, _, err := DetectCommunity(nw, 0, bad); err == nil {
-		t.Fatal("zero patience accepted")
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"negative delta", func(c *Config) { c.Delta = -1 }},
+		{"zero patience", func(c *Config) { c.Patience = 0 }},
+		{"NaN delta", func(c *Config) { c.Delta = math.NaN() }},
+		{"NaN mixing threshold", func(c *Config) { c.MixingThreshold = math.NaN() }},
+		{"NaN growth factor", func(c *Config) { c.GrowthFactor = math.NaN() }},
+	} {
+		bad := DefaultConfig(4)
+		tc.mutate(&bad)
+		if _, _, err := DetectCommunity(nw, 0, bad); err == nil {
+			t.Fatalf("%s accepted", tc.name)
+		}
+		if _, err := Detect(nw, bad); err == nil {
+			t.Fatalf("%s accepted by Detect", tc.name)
+		}
 	}
 	if _, _, err := DetectCommunity(nw, 99, DefaultConfig(4)); err == nil {
 		t.Fatal("out-of-range seed accepted")

@@ -11,10 +11,11 @@ import (
 // BenchmarkFloodKernel1M: one probability-flooding round over a 10⁶-vertex
 // Gnp graph with every vertex active — the dense flood regime of Algorithm 1
 // lines 9–11. reference chases two random-access streams (p and degInv)
-// through the CSR neighbour lists; blocked freezes each node's outgoing
-// share once and gathers through a single stream in L2-sized output tiles.
-// Both kernels run the single-worker path so the comparison isolates the
-// memory hierarchy, not parallelism; CI gates blocked >= 1.3x reference
+// through the CSR neighbour lists; blocked is the flood kernel detection
+// runs, batchFlood with one walk, which freezes each node's outgoing share
+// once and gathers through a single stream in L2-sized output tiles. Both
+// kernels run the single-worker path so the comparison isolates the memory
+// hierarchy, not parallelism; CI gates blocked >= 1.3x reference
 // (head-only, .github/bench_gate.py). Skipped with -short.
 func BenchmarkFloodKernel1M(b *testing.B) {
 	if testing.Short() {
@@ -42,11 +43,12 @@ func BenchmarkFloodKernel1M(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/step")
 	})
 	b.Run("blocked", func(b *testing.B) {
-		nw.floodStep(p, next, degInv) // warm the retained share scratch
+		walk := &batchWalk{p: p, next: next, active: true}
+		floodWalks(nw, walk) // warm the retained share scratch
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			nw.floodStep(p, next, degInv)
+			floodWalks(nw, walk)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/step")
 	})

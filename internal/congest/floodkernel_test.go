@@ -28,38 +28,77 @@ func raggedGraph(t *testing.T, n int, seed uint64) *graph.Graph {
 	return g
 }
 
-// TestFloodStepMatchesReference: the blocked share-precompute kernel evolves
-// distributions bit-identical to the reference kernel — same floats, same
-// message and round accounting — sequentially and under the tiled parallel
-// executor, across graphs with isolated vertices.
+// floodWalks advances the walks by one shared flood round through
+// batchFlood, bracketed the way detectBatch brackets it.
+func floodWalks(nw *Network, walks ...*batchWalk) {
+	nw.beginBatch(len(walks))
+	nw.beginPhase()
+	batchFlood(nw, walks, nw.degInvTable())
+	nw.endPhase()
+	nw.endBatch()
+}
+
+// TestFloodStepMatchesReference: the blocked flood kernel, batchFlood,
+// evolves distributions bit-identical to the reference kernel — same floats,
+// same message and round accounting — for one walk and for three walks
+// sharing rounds, sequentially and under the tiled parallel executor, across
+// graphs with isolated vertices. A walk started on an isolated vertex keeps
+// all of its mass there.
 func TestFloodStepMatchesReference(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		g := raggedGraph(t, 512, uint64(workers))
 		n := g.NumVertices()
-		blocked := NewNetwork(g, workers)
-		reference := NewNetwork(g, workers)
-		degInv := blocked.degInvTable()
-
-		p1, n1 := make(rw.Dist, n), make(rw.Dist, n)
-		p2, n2 := make(rw.Dist, n), make(rw.Dist, n)
-		p1[3], p2[3] = 1, 1
-
-		for step := 1; step <= 12; step++ {
-			blocked.floodStep(p1, n1, degInv)
-			reference.floodStepReference(p2, n2, degInv)
-			p1, n1 = n1, p1
-			p2, n2 = n2, p2
-			for v := range p1 {
-				if p1[v] != p2[v] {
-					t.Fatalf("workers=%d step %d vertex %d: blocked %g != reference %g",
-						workers, step, v, p1[v], p2[v])
-				}
+		iso := -1
+		for v := n - 1; v >= 0 && iso < 0; v-- {
+			if g.Degree(v) == 0 {
+				iso = v
 			}
 		}
-		mb, mr := blocked.Metrics(), reference.Metrics()
-		if mb.Rounds != mr.Rounds || mb.Messages != mr.Messages {
-			t.Fatalf("workers=%d: blocked accounting {%d rounds, %d msgs} != reference {%d rounds, %d msgs}",
-				workers, mb.Rounds, mb.Messages, mr.Rounds, mr.Messages)
+		if iso < 0 {
+			t.Fatal("ragged graph has no isolated vertex")
+		}
+		for _, sources := range [][]int{{3}, {3, 200, iso}} {
+			blocked := NewNetwork(g, workers)
+			walks := make([]*batchWalk, len(sources))
+			refs := make([]*Network, len(sources))
+			ps := make([]rw.Dist, len(sources))
+			nexts := make([]rw.Dist, len(sources))
+			for i, s := range sources {
+				walks[i] = newBatchWalk(n, s)
+				refs[i] = NewNetwork(g, workers)
+				ps[i], nexts[i] = make(rw.Dist, n), make(rw.Dist, n)
+				ps[i][s] = 1
+			}
+			degInv := blocked.degInvTable()
+
+			for step := 1; step <= 12; step++ {
+				floodWalks(blocked, walks...)
+				for i, w := range walks {
+					refs[i].floodStepReference(ps[i], nexts[i], degInv)
+					ps[i], nexts[i] = nexts[i], ps[i]
+					for v := range w.p {
+						if w.p[v] != ps[i][v] {
+							t.Fatalf("workers=%d walks=%d step %d walk %d vertex %d: blocked %g != reference %g",
+								workers, len(walks), step, i, v, w.p[v], ps[i][v])
+						}
+					}
+				}
+			}
+			var want Metrics
+			for _, ref := range refs {
+				if ref.Metrics().Rounds != 12 {
+					t.Fatalf("reference took %d rounds for 12 steps", ref.Metrics().Rounds)
+				}
+				want.Messages += ref.Metrics().Messages
+			}
+			want.Rounds = 12 // the walks share every round
+			if last := walks[len(walks)-1]; last.seed == iso && last.p[iso] != 1 {
+				t.Fatalf("workers=%d: isolated source kept mass %g, want 1", workers, last.p[iso])
+			}
+			if got := blocked.Metrics(); got != want {
+				t.Fatalf("workers=%d walks=%d: blocked accounting %+v != reference %+v",
+					workers, len(walks), got, want)
+			}
 		}
 	}
 }

@@ -49,8 +49,8 @@ type RoundObserver func(round int, msgs []Traffic)
 // LinkLoad aggregates the words one directed link carried in one round:
 // Words messages of one O(log n)-bit word each from From to To. In a batched
 // round (DetectBatch) a link carries one word per walk whose payload crosses
-// it, so Words is the number of such walks; in a sequential round every load
-// has Words == 1. Entries for the same link may repeat within a round;
+// it, so Words is the number of such walks; in a round of one walk every
+// load has Words == 1. Entries for the same link may repeat within a round;
 // consumers accumulate.
 type LinkLoad struct {
 	From, To int32
@@ -66,9 +66,8 @@ type LinkLoad struct {
 type LoadObserver func(round int, loads []LinkLoad)
 
 // lane is the per-walk accounting of a batched execution: the rounds and
-// messages the walk's own protocol consumed (exactly what a sequential run
-// of the walk would be charged), plus its round offset within the current
-// phase.
+// messages the walk's own protocol consumed (exactly what the walk would be
+// charged running alone), plus its round offset within the current phase.
 type lane struct {
 	rounds      int
 	messages    int64
@@ -127,11 +126,11 @@ type Network struct {
 	xsup    []float64
 	selKeys []key
 
-	// Flood-kernel scratch (floodStep/batchFlood), retained across rounds:
-	// shareBuf holds the per-source outgoing shares of a solo flood, shareAll
-	// the vertex-interleaved shares of a batched flood.
-	shareBuf []float64
+	// Flood-kernel scratch (batchFlood), retained across rounds: shareAll
+	// holds the walks' vertex-interleaved outgoing shares, counts the
+	// per-vertex number of walks sending (built only while observing).
 	shareAll []float64
+	counts   []int32
 }
 
 // NewNetwork returns a CONGEST network over g. workers controls how many
@@ -304,8 +303,10 @@ func (nw *Network) sendAllNeighbors(v int) {
 }
 
 // accountMessages charges count messages to the global metrics (and the
-// current lane, in batch mode) without naming their endpoints. Only valid
-// while no observer is installed; observer paths enumerate real sends.
+// current lane, in batch mode) without naming their endpoints. A caller
+// running under an observer reports the endpoints itself: Broadcast and
+// Convergecast enumerate real sends instead, and batchFlood appends its
+// aggregate link loads to the phase.
 func (nw *Network) accountMessages(count int) {
 	nw.metrics.Messages += int64(count)
 	if nw.lanes != nil {
@@ -504,22 +505,23 @@ func (nw *Network) degInvTable() []float64 {
 	return nw.dinv
 }
 
-// floodShare returns the solo flood kernel's per-source share scratch, sized
-// for n vertices and retained across rounds.
-func (nw *Network) floodShare(n int) []float64 {
-	if cap(nw.shareBuf) < n {
-		nw.shareBuf = make([]float64, n)
-	}
-	return nw.shareBuf[:n]
-}
-
-// floodShareAll returns the batched flood kernel's interleaved share
-// scratch, sized for n·k values and retained across rounds.
+// floodShareAll returns the flood kernel's interleaved share scratch, sized
+// for n·k values and retained across rounds.
 func (nw *Network) floodShareAll(nk int) []float64 {
 	if cap(nw.shareAll) < nk {
 		nw.shareAll = make([]float64, nk)
 	}
 	return nw.shareAll[:nk]
+}
+
+// floodCounts returns the flood kernel's per-vertex sender counts, one per
+// vertex, retained across rounds. batchFlood leaves every entry zero when it
+// returns.
+func (nw *Network) floodCounts() []int32 {
+	if n := nw.g.NumVertices(); len(nw.counts) != n {
+		nw.counts = make([]int32, n)
+	}
+	return nw.counts
 }
 
 // checkVertex validates a vertex index against the network size.

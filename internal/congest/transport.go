@@ -40,10 +40,10 @@ type FloodTransport interface {
 
 // SetFloodTransport installs (or, with nil, removes) the network's flood
 // transport and clears any sticky transport error. While a transport is
-// installed, floodStep and batchFlood account their rounds and messages
-// exactly as before — simulated cost is a pure function of the execution,
-// not of where the floats move — but hand the numeric evolution to the
-// transport instead of running the in-memory gather.
+// installed, batchFlood accounts its rounds and messages exactly as before
+// — simulated cost is a pure function of the execution, not of where the
+// floats move — but hands the numeric evolution to the transport instead of
+// running the in-memory gather.
 //
 // A transport error is sticky for the remainder of the run: interrupted()
 // reports it like a context error, so the detection loops (ladder sweeps,

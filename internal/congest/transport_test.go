@@ -60,8 +60,8 @@ func transportTestGraph(t *testing.T) *gen.PPM {
 	return ppm
 }
 
-// TestFloodTransportCommunityEquivalence pins the transport contract on the
-// solo path: DetectCommunity over a transport-backed network is bit-identical
+// TestFloodTransportCommunityEquivalence pins the transport contract on a
+// single seed: DetectCommunity over a transport-backed network is bit-identical
 // — community, full stats struct including simulated Metrics — to the
 // in-memory run.
 func TestFloodTransportCommunityEquivalence(t *testing.T) {
@@ -160,8 +160,8 @@ func (t *failingTransport) Flood(ctx context.Context, frames []FloodFrame) error
 }
 
 // TestFloodTransportErrorPropagates pins the failure contract: a transport
-// error unwinds the detection with that error (wrapped, errors.Is-able) on
-// both the solo and batched paths, and the network recovers for the next run
+// error unwinds the detection with that error (wrapped, errors.Is-able) for
+// a single seed and for a batch, and the network recovers for the next run
 // once the transport is healthy again.
 func TestFloodTransportErrorPropagates(t *testing.T) {
 	ppm := transportTestGraph(t)
@@ -170,7 +170,7 @@ func TestFloodTransportErrorPropagates(t *testing.T) {
 	nw := NewNetwork(ppm.Graph, 1)
 	nw.SetFloodTransport(&failingTransport{ok: &loopbackTransport{nw: nw}, after: 2})
 	if _, _, err := DetectCommunity(nw, 0, cfg); !errors.Is(err, errLinkDown) {
-		t.Fatalf("solo path: want errLinkDown, got %v", err)
+		t.Fatalf("single seed: want errLinkDown, got %v", err)
 	}
 
 	nw.SetFloodTransport(&failingTransport{ok: &loopbackTransport{nw: nw}, after: 1})

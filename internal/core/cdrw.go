@@ -228,6 +228,10 @@ func (r *Result) Labels(n int) []int {
 }
 
 func (c *config) validate(n int) error {
+	if math.IsNaN(c.delta) || math.IsNaN(c.mix.Threshold) || math.IsNaN(c.mix.Growth) {
+		return fmt.Errorf("core: options must not be NaN (delta=%v mixingThreshold=%v growthFactor=%v)",
+			c.delta, c.mix.Threshold, c.mix.Growth)
+	}
 	if c.delta < 0 {
 		return fmt.Errorf("core: negative delta %v", c.delta)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"sort"
 	"testing"
 
@@ -100,6 +101,16 @@ func TestDetectCommunityErrors(t *testing.T) {
 	}
 	if _, _, err := DetectCommunity(g, 0, WithDelta(-1)); err == nil {
 		t.Fatal("negative delta accepted")
+	}
+	nan := math.NaN()
+	for name, opt := range map[string]Option{
+		"delta":            WithDelta(nan),
+		"mixing threshold": WithMixingThreshold(nan),
+		"growth factor":    WithGrowthFactor(nan),
+	} {
+		if _, _, err := DetectCommunity(g, 0, opt); err == nil {
+			t.Fatalf("NaN %s accepted", name)
+		}
 	}
 	if _, _, err := DetectCommunity(g, 0, WithMaxWalkLength(0)); err == nil {
 		t.Fatal("zero walk length accepted")

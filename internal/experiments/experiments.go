@@ -140,10 +140,10 @@ type Config struct {
 	// zero value is the reference engine). The complexity figures are
 	// engine-specific by nature and ignore it.
 	Engine core.Engine
-	// CongestBatch batches the CONGEST engine's pool loop (values ≤ 1 keep
-	// the sequential loop); it reaches every congest-engine detection run
+	// CongestBatch batches the CONGEST engine's pool loop (values ≤ 1 draw
+	// one seed at a time); it reaches every congest-engine detection run
 	// and is stamped into the figures' option fingerprints, so JSON records
-	// of batched and sequential runs stay distinguishable.
+	// of batched and one-seed runs stay distinguishable.
 	CongestBatch int
 }
 
