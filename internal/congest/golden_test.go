@@ -153,3 +153,81 @@ func TestGoldenDetect(t *testing.T) {
 			tally.rounds, tally.words, want.Rounds, want.Messages)
 	}
 }
+
+// TestGoldenDetectBatched pins two batched pool runs exactly: seed order,
+// digests of the Raw and Assigned sets, every detection's stats, the
+// result and network totals, and the observed rounds and words. Batch 4 on
+// the 4-block PPM draws one ball-spread super-step; Batch 3 on eight
+// disjoint 8-cliques runs two ball-spread super-steps and then a
+// component-tail super-step with one seed per remaining clique.
+func TestGoldenDetectBatched(t *testing.T) {
+	ppm, ppmCfg := goldenPPM(t)
+	ppmCfg.Seed = 9
+	ppmCfg.Batch = 4
+	tailCfg := DefaultConfig(64)
+	tailCfg.Delta = 0.05
+	tailCfg.Seed = 5
+	tailCfg.Batch = 3
+	cliqueStats := func(seed, rounds int, messages int64) CommunityStats {
+		return CommunityStats{Seed: seed, WalkLength: 3, Stopped: true, FinalSetSize: 8, SizesChecked: 144, FrozenAt: 2, TreeDepth: 1,
+			Metrics: Metrics{Rounds: rounds, Messages: messages}}
+	}
+	cases := []struct {
+		name string
+		nw   *Network
+		cfg  Config
+
+		stats         []CommunityStats
+		raw, assigned uint64
+		metrics       Metrics
+	}{
+		{name: "ppm-batch4", nw: NewNetwork(ppm.Graph, 1), cfg: ppmCfg,
+			stats: []CommunityStats{
+				{Seed: 1, WalkLength: 6, Stopped: true, FinalSetSize: 155, SizesChecked: 570, FrozenAt: 5, TreeDepth: 5, Metrics: Metrics{Rounds: 53857, Messages: 5530339}},
+				{Seed: 215, WalkLength: 6, Stopped: true, FinalSetSize: 162, SizesChecked: 570, FrozenAt: 5, TreeDepth: 5, Metrics: Metrics{Rounds: 53952, Messages: 5542132}},
+				{Seed: 263, WalkLength: 6, Stopped: true, FinalSetSize: 149, SizesChecked: 570, FrozenAt: 5, TreeDepth: 5, Metrics: Metrics{Rounds: 53247, Messages: 5467980}},
+				{Seed: 464, WalkLength: 6, Stopped: true, FinalSetSize: 149, SizesChecked: 570, FrozenAt: 5, TreeDepth: 5, Metrics: Metrics{Rounds: 55927, Messages: 5738265}},
+			},
+			raw: 0x961a4b5f89c04f1d, assigned: 0xb46fa03621da1793,
+			metrics: Metrics{Rounds: 56217, Messages: 22278716}},
+		{name: "clique-tail-batch3", nw: NewNetwork(cliqueRow(t, 8, 8), 1), cfg: tailCfg,
+			stats: []CommunityStats{
+				cliqueStats(18, 29, 336), cliqueStats(41, 29, 336), cliqueStats(39, 27, 322),
+				cliqueStats(56, 27, 322), cliqueStats(24, 27, 322), cliqueStats(50, 29, 336),
+				cliqueStats(8, 27, 322), cliqueStats(6, 27, 322),
+			},
+			raw: 0xe3d6ea2a2bb2731f, assigned: 0xe3d6ea2a2bb2731f,
+			metrics: Metrics{Rounds: 85, Messages: 2618}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var tally loadTally
+			tc.nw.SetLoadObserver(tally.observe)
+			res, err := Detect(tc.nw, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Detections) != len(tc.stats) {
+				t.Fatalf("%d detections, want %d", len(res.Detections), len(tc.stats))
+			}
+			var raw, assigned [][]int
+			for i, det := range res.Detections {
+				if det.Stats != tc.stats[i] {
+					t.Fatalf("detection %d stats:\n got %+v\nwant %+v", i, det.Stats, tc.stats[i])
+				}
+				raw = append(raw, det.Raw)
+				assigned = append(assigned, det.Assigned)
+			}
+			if digest(raw) != tc.raw || digest(assigned) != tc.assigned {
+				t.Fatalf("digests raw %#x assigned %#x, want %#x %#x", digest(raw), digest(assigned), tc.raw, tc.assigned)
+			}
+			if res.Metrics != tc.metrics || tc.nw.Metrics() != tc.metrics {
+				t.Fatalf("result metrics %+v, network %+v, want %+v", res.Metrics, tc.nw.Metrics(), tc.metrics)
+			}
+			if tally.rounds != tc.metrics.Rounds || tally.words != tc.metrics.Messages {
+				t.Fatalf("observer saw %d rounds / %d words, want %d / %d",
+					tally.rounds, tally.words, tc.metrics.Rounds, tc.metrics.Messages)
+			}
+		})
+	}
+}
