@@ -350,14 +350,11 @@ var (
 	WithTreeDepthLimit = core.WithTreeDepthLimit
 	// WithCongestBatch batches the Congest engine's pool loop: that many
 	// seed walks advance in shared communication rounds per super-step
-	// (≤ 1 = sequential). Detections are bit-identical to the sequential
-	// loop; the simulated round count drops to the shared-round cost.
-	// In-memory engines ignore it.
+	// (≤ 1 = one seed per super-step). Each detection is bit-identical to a
+	// lone run of its seed, and detections still stream per super-step as
+	// they freeze; the simulated round count drops to the shared-round
+	// cost. In-memory engines ignore it.
 	WithCongestBatch = core.WithCongestBatch
-	// WithCongest is the escape hatch to the full distributed knob set: the
-	// given CongestConfig is used verbatim by the Congest engine, overriding
-	// the translated shared options.
-	WithCongest = core.WithCongest
 	// WithMixingThreshold overrides the 1/2e bound (ablations only).
 	WithMixingThreshold = core.WithMixingThreshold
 	// WithGrowthFactor overrides the 1+1/8e ladder growth (ablations only).

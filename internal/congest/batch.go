@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"cdrw/internal/graph"
-	"cdrw/internal/rng"
 	"cdrw/internal/rw"
 	"cdrw/internal/trace"
 )
@@ -356,172 +354,4 @@ func (nw *Network) floodStepReference(p, next rw.Dist, degInv []float64) {
 		next[u] = sum
 	})
 	nw.endRound(round)
-}
-
-// detectPool is Detect's pool loop: each super-step draws up to Batch seeds
-// from the pool of unassigned vertices — the first uniformly, the rest
-// spread outside the 2-hop balls of the seeds already drawn, the same
-// spreading DetectParallel uses — runs them as one batch, and applies the
-// detections in draw order (a vertex claimed by an earlier detection of the
-// same super-step is simply not re-assigned). With Batch ≤ 1 every
-// super-step draws exactly one uniform seed, which is internal/core.Detect's
-// sampling. Every detection's community and per-walk stats are
-// bit-identical to a lone DetectCommunity of its seed; the batch only
-// changes the pool schedule — Batch communities leave the pool per
-// super-step instead of one — so the total round count drops by up to the
-// batch factor, while seeds that land in one community cost some duplicated
-// messages. The run is fully deterministic in cfg.Seed.
-//
-// The pool tail — once the pool is smaller than Batch·MinCommunitySize —
-// sizes its batches from the pool's component structure instead of the
-// fixed guard: a small pool cannot plausibly hold a batch of distinct
-// communities *within one connected piece*, and forcing every straggler
-// vertex to walk would run detections a one-seed schedule absorbs into one
-// another (a straggler's walk can be pathologically long — it is exactly
-// the seed whose community never settles). But when the residual pool
-// splits into several components of its induced subgraph, a one-seed
-// schedule must seed each piece separately anyway, so the tail draws up to
-// min(Batch, components) seeds, one per distinct component, and shares
-// their rounds. A single-component tail draws one seed per super-step.
-func detectPool(nw *Network, cfg Config) (*Result, error) {
-	g := nw.Graph()
-	n := g.NumVertices()
-	r := rng.New(cfg.Seed)
-	assigned := make([]bool, n)
-	blocked := make([]bool, n)
-	pool := make([]int, n)
-	for v := range pool {
-		pool[v] = v
-	}
-	seeds := make([]int, 0, cfg.Batch)
-	free := make([]int, 0, n)
-	comp := make([]int, n)
-	queue := make([]int, 0, n)
-	res := &Result{}
-	before := nw.Metrics()
-	for len(pool) > 0 {
-		if err := nw.interrupted(); err != nil {
-			return nil, fmt.Errorf("congest: %w", err)
-		}
-		// Draw the super-step's seeds: first uniform, rest ball-spread.
-		seeds = append(seeds[:0], pool[r.Intn(len(pool))])
-		if cfg.Batch > 1 && len(pool) >= cfg.Batch*cfg.MinCommunitySize {
-			for _, u := range g.Ball(seeds[0], 2) {
-				blocked[u] = true
-			}
-			for len(seeds) < cfg.Batch && len(seeds) < len(pool) {
-				free = free[:0]
-				for _, v := range pool {
-					if !blocked[v] {
-						free = append(free, v)
-					}
-				}
-				if len(free) == 0 {
-					break // the pool is one big ball; no spread seeds left
-				}
-				s := free[r.Intn(len(free))]
-				seeds = append(seeds, s)
-				for _, u := range g.Ball(s, 2) {
-					blocked[u] = true
-				}
-			}
-			for _, s := range seeds {
-				for _, u := range g.Ball(s, 2) {
-					blocked[u] = false
-				}
-			}
-		} else if cfg.Batch > 1 {
-			// Straggler tail: the batch size follows the pool's component
-			// structure. Disjoint pieces of the pool-induced subgraph need a
-			// seed each regardless of the schedule, so one seed per
-			// component (up to Batch) shares their rounds for free.
-			if comps := poolComponents(g, pool, assigned, comp, queue); comps > 1 {
-				// blocked doubles as the seeded-component mask here: component
-				// labels live in [0, comps) ⊆ [0, n), and the ball-spread
-				// branch (which also uses blocked) is unreachable this
-				// super-step.
-				blocked[comp[seeds[0]]] = true
-				for len(seeds) < cfg.Batch {
-					free = free[:0]
-					for _, v := range pool {
-						if !blocked[comp[v]] {
-							free = append(free, v)
-						}
-					}
-					if len(free) == 0 {
-						break // every component carries a seed already
-					}
-					s := free[r.Intn(len(free))]
-					seeds = append(seeds, s)
-					blocked[comp[s]] = true
-				}
-				for _, s := range seeds {
-					blocked[comp[s]] = false
-				}
-			}
-		}
-		dets, err := detectBatch(nw, seeds, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("congest: batch of seeds %v: %w", seeds, err)
-		}
-		for i, det := range dets {
-			s := seeds[i]
-			kept := make([]int, 0, len(det.Community))
-			for _, v := range det.Community {
-				if !assigned[v] {
-					kept = append(kept, v)
-					assigned[v] = true
-				}
-			}
-			if !assigned[s] {
-				kept = append(kept, s)
-				assigned[s] = true
-			}
-			res.Detections = append(res.Detections, Detection{Raw: det.Community, Assigned: kept, Stats: det.Stats})
-		}
-		nextPool := pool[:0]
-		for _, v := range pool {
-			if !assigned[v] {
-				nextPool = append(nextPool, v)
-			}
-		}
-		pool = nextPool
-	}
-	res.Metrics = nw.Metrics()
-	res.Metrics.Rounds -= before.Rounds
-	res.Metrics.Messages -= before.Messages
-	return res, nil
-}
-
-// poolComponents labels the connected components of the subgraph induced by
-// the unassigned pool vertices (edges with both endpoints unassigned),
-// writing each pool vertex's component into comp and returning the count.
-// Labels are assigned in pool order, deterministically. Only pool entries of
-// comp are written; queue is BFS scratch. Cost is O(n + vol(pool)) — paid
-// once per tail super-step, where it buys shared rounds for every extra
-// component.
-func poolComponents(g *graph.Graph, pool []int, assigned []bool, comp []int, queue []int) int {
-	for _, v := range pool {
-		comp[v] = -1
-	}
-	comps := 0
-	for _, v := range pool {
-		if comp[v] >= 0 {
-			continue
-		}
-		comp[v] = comps
-		queue = append(queue[:0], v)
-		for len(queue) > 0 {
-			u := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			for _, w := range g.Neighbors(u) {
-				if !assigned[w] && comp[w] < 0 {
-					comp[w] = comps
-					queue = append(queue, int(w))
-				}
-			}
-		}
-		comps++
-	}
-	return comps
 }

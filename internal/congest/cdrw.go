@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"cdrw/internal/rw"
+	"cdrw/internal/seedpool"
 )
 
 // Config parameterises a distributed CDRW run. The zero value is not valid;
@@ -279,18 +280,22 @@ func (r *Result) Partition() [][]int {
 }
 
 // Detect runs the distributed CDRW pool loop (Algorithm 1 lines 1–23),
-// detecting communities until every vertex is assigned. With cfg.Batch ≤ 1
-// it runs one seed at a time with seed sampling matching internal/core.
-// Detect exactly, so on a connected graph the two engines emit identical
-// communities; with cfg.Batch > 1 each super-step advances a batch of seed
-// walks in shared communication rounds (see DetectBatch and detectPool),
-// every individual detection still bit-identical to a lone run of its seed.
+// detecting communities until every vertex is assigned. The loop is
+// seedpool.Run, the one every engine shares, so with cfg.Batch ≤ 1 it draws
+// the same seeds as internal/core's Detector from the same cfg.Seed and, on
+// a connected graph, the two engines emit identical communities. With
+// cfg.Batch > 1 each super-step advances a batch of seed walks in shared
+// communication rounds (see DetectBatch): Batch communities leave the pool
+// per super-step instead of one, so the total round count drops by up to
+// the batch factor, while seeds that land in one community cost some
+// duplicated messages. Every detection's community and per-walk stats stay
+// bit-identical to a lone DetectCommunity of its seed.
 func Detect(nw *Network, cfg Config) (*Result, error) {
 	return DetectContext(context.Background(), nw, cfg)
 }
 
 // DetectContext is Detect with cancellation: ctx is polled by the round
-// scheduler and between pool iterations, so a cancelled caller gets
+// scheduler and between pool super-steps, so a cancelled caller gets
 // ctx.Err() back without waiting for the pool to drain.
 func DetectContext(ctx context.Context, nw *Network, cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
@@ -298,5 +303,30 @@ func DetectContext(ctx context.Context, nw *Network, cfg Config) (*Result, error
 	}
 	nw.setContext(ctx)
 	defer nw.setContext(nil)
-	return detectPool(nw, cfg)
+	res := &Result{}
+	before := nw.Metrics()
+	var sc seedpool.Scratch
+	err := seedpool.Run(ctx, nw.Graph(), seedpool.Config{Seed: cfg.Seed, Batch: cfg.Batch, MinSize: cfg.MinCommunitySize}, &sc,
+		func(seeds []int) ([]seedpool.Found[CommunityStats], error) {
+			dets, err := detectBatch(nw, seeds, cfg)
+			if err != nil {
+				return nil, fmt.Errorf("batch of seeds %v: %w", seeds, err)
+			}
+			found := make([]seedpool.Found[CommunityStats], len(dets))
+			for i, det := range dets {
+				found[i] = seedpool.Found[CommunityStats](det)
+			}
+			return found, nil
+		},
+		func(det seedpool.Detection[CommunityStats]) bool {
+			res.Detections = append(res.Detections, Detection(det))
+			return true
+		})
+	if err != nil {
+		return nil, fmt.Errorf("congest: %w", err)
+	}
+	res.Metrics = nw.Metrics()
+	res.Metrics.Rounds -= before.Rounds
+	res.Metrics.Messages -= before.Messages
+	return res, nil
 }

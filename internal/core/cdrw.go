@@ -46,7 +46,6 @@ type config struct {
 	workers      int             // congest per-round parallelism
 	treeDepth    int             // congest BFS depth limit (negative = unbounded)
 	congestBatch int             // congest batched-pool size (≤ 1 = sequential)
-	congest      *congest.Config // WithCongest escape hatch, used verbatim
 	detObs       func(Detection) // WithDetectionObserver streaming callback
 	shared       *rw.SharedIndex // WithSharedIndex injection (nil = private)
 

@@ -8,8 +8,8 @@ import (
 
 	"cdrw/internal/congest"
 	"cdrw/internal/graph"
-	"cdrw/internal/rng"
 	"cdrw/internal/rw"
+	"cdrw/internal/seedpool"
 	"cdrw/internal/trace"
 )
 
@@ -63,8 +63,7 @@ type Detector struct {
 	parWork     chan parTask
 
 	// Pool-loop scratch, retained.
-	assigned []bool
-	pool     []int
+	pool seedpool.Scratch
 
 	// CONGEST-engine state.
 	nw          *congest.Network
@@ -144,38 +143,17 @@ func (d *Detector) walkEngine() *rw.WalkEngine {
 	return d.eng
 }
 
-// network lazily builds the retained CONGEST network, honouring the
-// WithCongest override's Workers. Its metrics accumulate across the
-// detector's runs; CongestMetrics reports per-run deltas.
+// network lazily builds the retained CONGEST network. Its metrics
+// accumulate across the detector's runs; CongestMetrics reports per-run
+// deltas.
 func (d *Detector) network() *congest.Network {
 	if d.nw == nil {
-		d.nw = congest.NewNetworkWithIndex(d.g, d.congestConfig().Workers, d.sharedIndex())
+		d.nw = congest.NewNetworkWithIndex(d.g, d.cfg.workers, d.sharedIndex())
 		if d.cfg.transport != nil {
 			d.nw.SetFloodTransport(d.cfg.transport)
 		}
 	}
 	return d.nw
-}
-
-// congestConfig returns the distributed config for this run: the verbatim
-// WithCongest override when given, the lossless translation of the shared
-// options otherwise.
-func (d *Detector) congestConfig() congest.Config {
-	if d.cfg.congest != nil {
-		return *d.cfg.congest
-	}
-	return d.settings.CongestConfig()
-}
-
-// poolSeed is the pool-sampling seed of a full Detect run. The WithCongest
-// escape hatch overrides it on the CONGEST engine (the override is
-// documented as verbatim, and congest.Detect samples its pool from
-// cfg.Seed), so the Detector path stays byte-identical to the wrapper.
-func (d *Detector) poolSeed() uint64 {
-	if d.cfg.engine == EngineCongest && d.cfg.congest != nil {
-		return d.cfg.congest.Seed
-	}
-	return d.cfg.seed
 }
 
 // beginRun installs ctx into the detector's reused run config and returns
@@ -223,7 +201,7 @@ func (d *Detector) DetectCommunity(ctx context.Context, s int) ([]int, Community
 	if d.cfg.engine == EngineCongest {
 		nw := d.network()
 		before := nw.Metrics()
-		out, cstats, err := congest.DetectCommunityContext(ctx, nw, s, d.congestConfig())
+		out, cstats, err := congest.DetectCommunityContext(ctx, nw, s, d.settings.CongestConfig())
 		d.noteCongest(before)
 		if err != nil {
 			return nil, coreStats(cstats), err
@@ -314,60 +292,62 @@ func (d *Detector) ReverifyCommunity(ctx context.Context, s int, community []int
 }
 
 // Detect partitions the whole graph on this detector's engine: the
-// Algorithm 1 pool loop for the reference and CONGEST engines, the
-// multi-seed lockstep run for the parallel engine. Detections stream to the
-// WithDetectionObserver callback as they freeze.
+// Algorithm 1 pool loop (seedpool.Run) for the reference and CONGEST
+// engines, the multi-seed lockstep run for the parallel engine. The
+// reference engine detects one seed per super-step; the CONGEST engine
+// detects WithCongestBatch seeds per super-step in shared rounds (one by
+// default). Detections stream to the WithDetectionObserver callback, and to
+// Stream, as they freeze.
 func (d *Detector) Detect(ctx context.Context) (*Result, error) {
+	var detect func(seeds []int) ([]seedpool.Found[CommunityStats], error)
+	batch := 1
 	switch d.cfg.engine {
 	case EngineParallel:
 		return d.detectParallel(ctx)
 	case EngineCongest:
 		nw := d.network()
-		before := nw.Metrics()
-		ccfg := d.congestConfig()
-		if ccfg.Batch > 1 {
-			// Batched pool loop (WithCongestBatch): the distributed engine
-			// owns the super-step schedule, so run its Detect wholesale and
-			// emit the frozen detections afterwards (like the parallel
-			// engine, communities are only final per super-step).
-			res, err := d.detectCongestBatched(ctx, ccfg)
-			d.noteCongest(before)
-			return res, err
+		defer d.noteCongest(nw.Metrics())
+		ccfg := d.settings.CongestConfig()
+		batch = ccfg.Batch
+		detect = func(seeds []int) ([]seedpool.Found[CommunityStats], error) {
+			dets, err := congest.DetectBatchContext(ctx, nw, seeds, ccfg)
+			if err != nil {
+				return nil, fmt.Errorf("batch of seeds %v: %w", seeds, err)
+			}
+			found := make([]seedpool.Found[CommunityStats], len(dets))
+			for i, det := range dets {
+				found[i] = seedpool.Found[CommunityStats]{Community: det.Community, Stats: coreStats(det.Stats)}
+			}
+			return found, nil
 		}
-		res, err := d.detectPool(ctx, func(ctx context.Context, s int) ([]int, CommunityStats, bool, error) {
-			out, cstats, err := congest.DetectCommunityContext(ctx, nw, s, ccfg)
-			return out, coreStats(cstats), true, err
-		})
-		d.noteCongest(before)
-		return res, err
 	default:
 		cfg := d.beginRun(ctx)
 		defer d.endRun()
 		eng := d.walkEngine()
-		return d.detectPool(ctx, func(ctx context.Context, s int) ([]int, CommunityStats, bool, error) {
-			out, stats, err := detectCommunity(ctx, eng, &d.trk, s, cfg)
-			// out is the tracker's buffer, overwritten next iteration.
-			return out, stats, false, err
-		})
-	}
-}
-
-// detectCongestBatched runs the distributed engine's batched pool loop and
-// projects its result onto the unified shape, emitting each detection to the
-// observer/stream hooks in pool order.
-func (d *Detector) detectCongestBatched(ctx context.Context, ccfg congest.Config) (*Result, error) {
-	cres, err := congest.DetectContext(ctx, d.network(), ccfg)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Detections: make([]Detection, len(cres.Detections))}
-	for i, det := range cres.Detections {
-		res.Detections[i] = Detection{Raw: det.Raw, Assigned: det.Assigned, Stats: coreStats(det.Stats)}
-	}
-	for _, det := range res.Detections {
-		if !d.emit(det) {
-			return res, errStreamStop
+		one := make([]seedpool.Found[CommunityStats], 1)
+		detect = func(seeds []int) ([]seedpool.Found[CommunityStats], error) {
+			out, stats, err := detectCommunity(ctx, eng, &d.trk, seeds[0], cfg)
+			if err != nil {
+				return nil, fmt.Errorf("community of seed %d: %w", seeds[0], err)
+			}
+			// out is the tracker's buffer, overwritten by the next seed.
+			one[0] = seedpool.Found[CommunityStats]{Community: append([]int(nil), out...), Stats: stats}
+			return one, nil
 		}
+	}
+	res := &Result{}
+	stopped := false
+	err := seedpool.Run(ctx, d.g, seedpool.Config{Seed: d.cfg.seed, Batch: batch, MinSize: d.cfg.minSize}, &d.pool, detect,
+		func(det seedpool.Detection[CommunityStats]) bool {
+			res.Detections = append(res.Detections, Detection(det))
+			stopped = !d.emit(Detection(det))
+			return !stopped
+		})
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	if stopped {
+		return res, errStreamStop
 	}
 	return res, nil
 }
@@ -397,76 +377,6 @@ func coreStats(cs congest.CommunityStats) CommunityStats {
 	}
 }
 
-// detectOne computes one seed's community. owned reports whether the
-// returned slice is freshly allocated (true) or a reused buffer the pool
-// loop must copy before retaining (false).
-type detectOne func(ctx context.Context, s int) ([]int, CommunityStats, bool, error)
-
-// detectPool is the engine-agnostic Algorithm 1 pool loop (lines 1–23),
-// shared by the reference and CONGEST engines: repeatedly draw a seed from
-// the pool of unassigned vertices, detect its community, emit the
-// detection, and remove the community from the pool. Seed sampling is
-// identical across engines (and to the pre-Detector entry points), which is
-// what makes their outputs comparable detection by detection.
-func (d *Detector) detectPool(ctx context.Context, one detectOne) (*Result, error) {
-	n := d.g.NumVertices()
-	r := rng.New(d.poolSeed())
-
-	if cap(d.assigned) < n {
-		d.assigned = make([]bool, n)
-		d.pool = make([]int, n)
-	}
-	assigned := d.assigned[:n]
-	pool := d.pool[:n]
-	for v := range pool {
-		assigned[v] = false
-		pool[v] = v
-	}
-
-	res := &Result{}
-	for len(pool) > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		s := pool[r.Intn(len(pool))]
-		community, stats, owned, err := one(ctx, s)
-		if err != nil {
-			return nil, fmt.Errorf("core: community of seed %d: %w", s, err)
-		}
-		if !owned {
-			community = append([]int(nil), community...)
-		}
-		// The assigned piece keeps only vertices not already claimed; the
-		// seed is always kept (it was drawn from the pool, so it is free).
-		kept := make([]int, 0, len(community))
-		for _, v := range community {
-			if !assigned[v] {
-				kept = append(kept, v)
-				assigned[v] = true
-			}
-		}
-		if !assigned[s] {
-			kept = append(kept, s)
-			assigned[s] = true
-		}
-		det := Detection{Raw: community, Assigned: kept, Stats: stats}
-		res.Detections = append(res.Detections, det)
-		if !d.emit(det) {
-			return res, errStreamStop
-		}
-
-		// Rebuild the pool without the newly assigned vertices.
-		nextPool := pool[:0]
-		for _, v := range pool {
-			if !assigned[v] {
-				nextPool = append(nextPool, v)
-			}
-		}
-		pool = nextPool
-	}
-	return res, nil
-}
-
 // emit delivers one frozen detection to the observer and stream hooks,
 // reporting whether the run should continue.
 func (d *Detector) emit(det Detection) bool {
@@ -482,11 +392,15 @@ func (d *Detector) emit(det Detection) bool {
 // Stream runs Detect and yields each Detection the moment its community is
 // frozen, as an iter.Seq2 over (Detection, error): detections arrive with a
 // nil error, and a run failure arrives as exactly one final (zero
-// Detection, non-nil error) pair. Breaking out of the range stops the
-// underlying run (reference/congest engines abandon the remaining pool;
-// the parallel engine stops emitting an already-computed result) without
-// surfacing an error. The parallel engine freezes all communities at
-// overlap resolution, so its detections arrive in a burst at the end.
+// Detection, non-nil error) pair. Detections arrive in Result order. The
+// reference engine yields each one as its seed finishes; the CONGEST
+// engine yields each super-step's detections (WithCongestBatch of them) as
+// the super-step ends. Breaking out of the range stops the underlying run
+// without surfacing an error: the reference and CONGEST engines abandon the
+// remaining pool, so no further walk or round is simulated, and the
+// parallel engine stops emitting an already-computed result. The parallel
+// engine freezes all communities at overlap resolution, so its detections
+// arrive in a burst at the end.
 //
 //	for det, err := range d.Stream(ctx) {
 //		if err != nil { ... }

@@ -94,27 +94,22 @@ func WithTreeDepthLimit(d int) Option {
 
 // WithCongestBatch sets how many seed walks the CONGEST engine's pool loop
 // advances in shared communication rounds per super-step
-// (congest.Config.Batch); values ≤ 1 keep the sequential one-seed-at-a-time
-// loop. Batching never changes the emitted detections — every walk stays
-// bit-identical to a sequential run of its seed — it reduces the simulated
-// round count (shared rounds cost max, not sum, over the batch) at the price
-// of speculative messages. Ignored by the in-memory engines.
+// (congest.Config.Batch); values ≤ 1 draw one seed per super-step. Every
+// detection stays bit-identical to a lone run of its seed: the batch
+// changes which seeds the pool loop (internal/seedpool) draws, not what a
+// seed detects. It reduces the simulated round count (shared rounds cost
+// max, not sum, over the batch) at the price of speculative messages.
+// Detections still stream as they freeze: each super-step's detections
+// reach WithDetectionObserver and Stream when the super-step ends. Ignored
+// by the in-memory engines.
 func WithCongestBatch(b int) Option {
 	return func(c *config) { c.congestBatch = b }
 }
 
-// WithCongest is the escape hatch to the full distributed knob set: the
-// given congest.Config is used verbatim by the CONGEST engine, overriding
-// every translated shared option (including Delta and Seed). Use the shared
-// options where they suffice — they translate losslessly — and this only
-// for knobs the shared surface does not model.
-func WithCongest(cfg congest.Config) Option {
-	return func(c *config) { c.congest = &cfg }
-}
-
 // WithDetectionObserver streams detections: fn receives each Detection the
-// moment its community is frozen — as the pool loop emits it (reference and
-// congest engines), or at overlap resolution (parallel engine, where
+// moment its community is frozen, in Result order — as the pool loop emits
+// it (reference engine: per seed; CONGEST engine: per super-step of
+// WithCongestBatch seeds), or at overlap resolution (parallel engine, where
 // communities are only final once every walk has stopped). The Detection's
 // slices are owned by the result; fn must not mutate them. The reference
 // and congest engines invoke fn from the calling goroutine; the parallel

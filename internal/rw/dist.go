@@ -130,20 +130,6 @@ func Stationary(g *graph.Graph) Dist {
 	return d
 }
 
-// RestrictedStationary returns π_S: π restricted and renormalised to the
-// set S, i.e. π_S(v) = d(v)/µ(S) for v ∈ S and 0 elsewhere (§I-C).
-func RestrictedStationary(g *graph.Graph, set []int) Dist {
-	d := make(Dist, g.NumVertices())
-	vol := float64(g.SetVolume(set))
-	if vol == 0 {
-		return d
-	}
-	for _, v := range set {
-		d[v] = float64(g.Degree(v)) / vol
-	}
-	return d
-}
-
 // Restrict zeroes the distribution outside S and returns the result as a
 // fresh vector (p_S^t of §I-C — note the restriction is not renormalised).
 func (d Dist) Restrict(set []int) Dist {
@@ -170,17 +156,6 @@ func MixingTime(g *graph.Graph, source int, eps float64, maxSteps int) (int, err
 		e.Step()
 	}
 	return 0, fmt.Errorf("rw: walk from %d not %v-mixed after %d steps", source, eps, maxSteps)
-}
-
-// LazyStep advances the distribution by one step of the lazy random walk
-// (stay put with probability 1/2). Lazy walks mix on bipartite graphs;
-// the baseline experiments use them for robustness comparisons.
-func LazyStep(g *graph.Graph, d, next Dist) Dist {
-	next = Step(g, d, next)
-	for i := range next {
-		next[i] = 0.5*next[i] + 0.5*d[i]
-	}
-	return next
 }
 
 // SecondEigenvalue estimates |λ₂| of the transition matrix of a connected

@@ -164,21 +164,6 @@ func TestStationaryEdgeless(t *testing.T) {
 	}
 }
 
-func TestRestrictedStationary(t *testing.T) {
-	g := completeGraph(t, 6) // all degrees 5
-	piS := RestrictedStationary(g, []int{0, 1, 2})
-	for v := 0; v < 3; v++ {
-		if math.Abs(piS[v]-1.0/3.0) > 1e-12 {
-			t.Fatalf("piS[%d] = %v, want 1/3", v, piS[v])
-		}
-	}
-	for v := 3; v < 6; v++ {
-		if piS[v] != 0 {
-			t.Fatalf("piS[%d] = %v, want 0", v, piS[v])
-		}
-	}
-}
-
 func TestRestrict(t *testing.T) {
 	d := Dist{0.25, 0.25, 0.25, 0.25}
 	r := d.Restrict([]int{1, 3})
@@ -252,22 +237,6 @@ func TestMixingTimeGnpLogarithmic(t *testing.T) {
 	// Expander: mixing time O(log n). Allow a generous constant.
 	if tm > 60 {
 		t.Fatalf("Gnp mixing time %d looks super-logarithmic (n=%d)", tm, n)
-	}
-}
-
-func TestLazyStepMixesBipartite(t *testing.T) {
-	g := cycleGraph(t, 8)
-	pi := Stationary(g)
-	d, err := NewPointDist(8, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	next := make(Dist, 8)
-	for i := 0; i < 300; i++ {
-		d, next = LazyStep(g, d, next), d
-	}
-	if d.L1(pi) > 0.01 {
-		t.Fatalf("lazy walk on C8 not mixed: L1 = %v", d.L1(pi))
 	}
 }
 
